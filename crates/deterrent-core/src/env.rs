@@ -19,7 +19,10 @@ use crate::{CompatCheck, CompatibilityGraph, DeterrentConfig, RewardMode};
 ///   mode).
 /// * **Masking** (when enabled) restricts the action set to nets that are
 ///   pairwise compatible with the whole current state and not yet members —
-///   Theorem 3.1 of the paper shows this loses nothing.
+///   Theorem 3.1 of the paper shows this loses nothing. The candidate set is
+///   kept incrementally: seeded from the first member's adjacency row on
+///   [`Environment::reset`] and ANDed with each new member's row, so reading
+///   it costs O(n) rather than O(n · |members|).
 ///
 /// Episode-final states are recorded and can be drained with
 /// [`CompatSetEnv::take_harvest`]; they are the maximal compatible sets the
@@ -38,6 +41,9 @@ pub struct CompatSetEnv<'a> {
     steps_per_episode: usize,
     members: Vec<usize>,
     membership: Vec<bool>,
+    /// `candidates[j]`: `j` is not a member and is pairwise compatible with
+    /// every member.
+    candidates: Vec<bool>,
     steps_taken: usize,
     rng: StdRng,
     harvest: Vec<Vec<usize>>,
@@ -69,6 +75,7 @@ impl<'a> CompatSetEnv<'a> {
             steps_per_episode: train.steps_per_episode,
             members: Vec::new(),
             membership: vec![false; graph.len()],
+            candidates: vec![true; graph.len()],
             steps_taken: 0,
             rng: StdRng::seed_from_u64(config.seed ^ 0x05ee_de0f),
             harvest: Vec::new(),
@@ -107,7 +114,7 @@ impl<'a> CompatSetEnv<'a> {
             return false;
         }
         match self.compat_check {
-            CompatCheck::PairwiseGraph => self.graph.compatible_with_all(&self.members, action),
+            CompatCheck::PairwiseGraph => self.candidates[action],
             CompatCheck::ExactSat => {
                 self.exact_sat_checks += 1;
                 let mut set = self.members.clone();
@@ -122,8 +129,20 @@ impl<'a> CompatSetEnv<'a> {
     }
 
     fn no_action_available(&self) -> bool {
-        (0..self.graph.len())
-            .all(|j| self.membership[j] || !self.graph.compatible_with_all(&self.members, j))
+        !self.candidates.contains(&true)
+    }
+
+    /// Adds `net` to the state and narrows the candidates to its compatible
+    /// partners.
+    fn add_member(&mut self, net: usize) {
+        let n = self.graph.len();
+        self.members.push(net);
+        self.membership[net] = true;
+        let row = &self.graph.adjacency()[net * n..(net + 1) * n];
+        for (c, &compatible) in self.candidates.iter_mut().zip(row) {
+            *c &= compatible;
+        }
+        self.candidates[net] = false;
     }
 
     fn finish_episode(&mut self) {
@@ -143,11 +162,11 @@ impl Environment for CompatSetEnv<'_> {
     fn reset(&mut self) -> Vec<f64> {
         self.members.clear();
         self.membership.iter_mut().for_each(|m| *m = false);
+        self.candidates.iter_mut().for_each(|c| *c = true);
         self.steps_taken = 0;
         // The initial state is a singleton containing a random rare net.
         let seed_net = self.rng.gen_range(0..self.graph.len());
-        self.members.push(seed_net);
-        self.membership[seed_net] = true;
+        self.add_member(seed_net);
         self.observation()
     }
 
@@ -155,8 +174,7 @@ impl Environment for CompatSetEnv<'_> {
         let compatible = self.is_action_compatible(action);
         let mut reward = 0.0;
         if compatible {
-            self.members.push(action);
-            self.membership[action] = true;
+            self.add_member(action);
             if self.reward_mode == RewardMode::AllSteps {
                 let size = self.members.len() as f64;
                 reward = size * size;
@@ -184,9 +202,7 @@ impl Environment for CompatSetEnv<'_> {
         if !self.masking {
             return Vec::new();
         }
-        (0..self.graph.len())
-            .map(|j| !self.membership[j] && self.graph.compatible_with_all(&self.members, j))
-            .collect()
+        self.candidates.clone()
     }
 
     fn reseed(&mut self, seed: u64) {
@@ -316,6 +332,51 @@ mod tests {
                 2,
                 "pairwise-compatible pair is SAT-compatible"
             );
+        }
+    }
+
+    #[test]
+    fn incremental_mask_matches_from_scratch_mask_at_every_step() {
+        let (nl, analysis) = setup();
+        let graph = CompatibilityGraph::build(&nl, &analysis, 2);
+        let from_scratch = |members: &[usize]| -> Vec<bool> {
+            (0..graph.len())
+                .map(|j| graph.compatible_with_all(members, j))
+                .collect()
+        };
+        for check in [CompatCheck::PairwiseGraph, CompatCheck::ExactSat] {
+            let mut config = DeterrentConfig::fast_preset();
+            config.train.compat_check = check;
+            config.train.steps_per_episode = 40;
+            let mut env = CompatSetEnv::new(&nl, &graph, &config);
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut largest = 0;
+            for _ in 0..8 {
+                env.reset();
+                loop {
+                    let mask = env.action_mask();
+                    let expected = from_scratch(env.members());
+                    assert_eq!(mask, expected, "{check:?}: mask");
+                    assert_eq!(
+                        env.no_action_available(),
+                        !expected.contains(&true),
+                        "{check:?}: exhaustion"
+                    );
+                    // Mostly allowed actions, sometimes any net (members and
+                    // incompatible nets leave the state unchanged).
+                    let allowed: Vec<usize> = (0..mask.len()).filter(|&j| mask[j]).collect();
+                    let action = if allowed.is_empty() || rng.gen_range(0..4) == 0 {
+                        rng.gen_range(0..graph.len())
+                    } else {
+                        allowed[rng.gen_range(0..allowed.len())]
+                    };
+                    if env.step(action).done {
+                        break;
+                    }
+                }
+                largest = largest.max(env.members().len());
+            }
+            assert!(largest >= 3, "{check:?}: sets grow past a pair");
         }
     }
 

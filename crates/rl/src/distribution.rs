@@ -104,8 +104,9 @@ impl MaskedCategorical {
         -self
             .probs
             .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| p * p.ln())
+            .zip(&self.log_probs)
+            .filter(|&(&p, _)| p > 0.0)
+            .map(|(&p, &ln_p)| p * ln_p)
             .sum::<f64>()
     }
 
@@ -163,7 +164,8 @@ impl MaskedCategorical {
         let h = self.entropy();
         self.probs
             .iter()
-            .map(|&p| if p > 0.0 { -p * (p.ln() + h) } else { 0.0 })
+            .zip(&self.log_probs)
+            .map(|(&p, &ln_p)| if p > 0.0 { -p * (ln_p + h) } else { 0.0 })
             .collect()
     }
 }
@@ -244,6 +246,24 @@ mod tests {
                 - MaskedCategorical::new(&minus, None).entropy())
                 / (2.0 * eps);
             assert!((numeric - analytic[k]).abs() < 1e-6, "k={k}");
+        }
+    }
+
+    #[test]
+    fn cached_logs_match_recomputed_logs_bit_for_bit() {
+        let logits = [0.7, -2.5, 13.0, 0.0, -0.3, 4.25];
+        let mask = [true, true, false, true, true, true];
+        let d = MaskedCategorical::new(&logits, Some(&mask));
+        let h = -d
+            .probs()
+            .iter()
+            .filter(|&&p| p > 0.0)
+            .map(|&p| p * p.ln())
+            .sum::<f64>();
+        assert_eq!(d.entropy().to_bits(), h.to_bits());
+        for (g, &p) in d.grad_entropy().iter().zip(d.probs()) {
+            let want = if p > 0.0 { -p * (p.ln() + h) } else { 0.0 };
+            assert_eq!(g.to_bits(), want.to_bits());
         }
     }
 

@@ -47,7 +47,8 @@ pub trait Environment {
 pub struct TrainOptions {
     /// Number of episodes to run.
     pub episodes: usize,
-    /// Maximum steps per episode (episodes may end earlier via `done`).
+    /// Maximum steps per episode (episodes may end earlier via `done`). An
+    /// episode's last transition is recorded as terminal either way.
     pub max_steps: usize,
     /// Seed recorded in the report (the trainer carries its own RNG).
     pub seed: u64,
@@ -117,6 +118,16 @@ impl TrainReport {
     }
 }
 
+/// Marks an episode's last transition terminal. An episode cut short at
+/// `max_steps` (or by an exhausted action mask) ends with `done = false`;
+/// left that way, GAE would bootstrap its last step from the value of the
+/// *next* episode's first state.
+pub(crate) fn close_episode(transitions: &mut [Transition]) {
+    if let Some(last) = transitions.last_mut() {
+        last.done = true;
+    }
+}
+
 /// Runs the standard episode loop: sample actions from `trainer`, store
 /// transitions, and trigger PPO updates at episode boundaries.
 pub fn train<E: Environment>(
@@ -126,10 +137,10 @@ pub fn train<E: Environment>(
 ) -> TrainReport {
     let start = std::time::Instant::now();
     let mut report = TrainReport::default();
+    let mut episode = Vec::new();
     for _ in 0..options.episodes {
         let mut state = env.reset();
         let mut total_reward = 0.0;
-        let mut steps = 0usize;
         for _ in 0..options.max_steps {
             let mask = env.action_mask();
             if !mask.is_empty() && !mask.iter().any(|&m| m) {
@@ -138,8 +149,7 @@ pub fn train<E: Environment>(
             let (action, log_prob, value) = trainer.select_action(&state, &mask);
             let outcome = env.step(action);
             total_reward += outcome.reward;
-            steps += 1;
-            trainer.record(Transition {
+            episode.push(Transition {
                 state: std::mem::take(&mut state),
                 mask,
                 action,
@@ -152,6 +162,11 @@ pub fn train<E: Environment>(
             if outcome.done {
                 break;
             }
+        }
+        close_episode(&mut episode);
+        let steps = episode.len();
+        for transition in episode.drain(..) {
+            trainer.record(transition);
         }
         if let Some(losses) = trainer.update_if_ready() {
             report.losses.push((trainer.total_steps(), losses));
@@ -267,6 +282,83 @@ mod tests {
             }
         }
         assert!(NoMask.action_mask().is_empty());
+    }
+
+    /// Pays 1 per step and never ends by itself; its state counts steps.
+    #[derive(Clone)]
+    struct NeverDone {
+        t: usize,
+    }
+
+    impl Environment for NeverDone {
+        fn state_dim(&self) -> usize {
+            1
+        }
+        fn num_actions(&self) -> usize {
+            2
+        }
+        fn reset(&mut self) -> Vec<f64> {
+            self.t = 0;
+            vec![0.0]
+        }
+        fn step(&mut self, _action: usize) -> StepOutcome {
+            self.t += 1;
+            StepOutcome {
+                state: vec![self.t as f64],
+                reward: 1.0,
+                done: false,
+            }
+        }
+    }
+
+    #[test]
+    fn episodes_cut_at_max_steps_are_closed_for_gae() {
+        let config = PpoConfig {
+            batch_size: 1000,
+            ..PpoConfig::default()
+        };
+        let (gamma, lambda) = (config.gamma, config.gae_lambda);
+        // Both episodes must get the advantages a buffer holding only that
+        // episode gives; bootstrapping across the cut would not.
+        let check = |transitions: &[Transition]| {
+            assert_eq!(transitions.len(), 4);
+            let mut both = crate::RolloutBuffer::new();
+            transitions.iter().for_each(|t| both.push(t.clone()));
+            let (adv, _) = both.advantages_and_returns(gamma, lambda);
+            for (e, episode) in transitions.chunks(2).enumerate() {
+                assert!(!episode[0].done && episode[1].done, "episode {e}");
+                let mut alone = crate::RolloutBuffer::new();
+                episode.iter().for_each(|t| alone.push(t.clone()));
+                let (want, _) = alone.advantages_and_returns(gamma, lambda);
+                assert_eq!(&adv[2 * e..2 * e + 2], want.as_slice(), "episode {e}");
+            }
+        };
+
+        let mut trainer = PpoTrainer::new(1, 2, &config, 4);
+        let options = TrainOptions {
+            episodes: 2,
+            max_steps: 2,
+            seed: 0,
+        };
+        let report = train(&mut NeverDone { t: 0 }, &mut trainer, &options);
+        assert_eq!(report.episode_lengths, vec![2, 2]);
+        check(trainer.buffer().transitions());
+
+        let outcomes = crate::collect_episodes(
+            &NeverDone { t: 0 },
+            &trainer,
+            &crate::CollectOptions {
+                count: 2,
+                max_steps: 2,
+                seed: 5,
+                first_episode: 0,
+                greedy: false,
+            },
+            &exec::Exec::serial(),
+            |_| (),
+        );
+        let collected: Vec<Transition> = outcomes.into_iter().flat_map(|e| e.transitions).collect();
+        check(&collected);
     }
 
     #[test]

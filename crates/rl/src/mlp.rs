@@ -9,14 +9,32 @@ use rand::{Rng, SeedableRng};
 /// Parameters and gradients are stored as flat `f64` vectors per layer so the
 /// [`crate::Adam`] optimizer can treat the whole network as one parameter
 /// vector.
+///
+/// The passes cost in proportion to the non-zero inputs, which matters for
+/// DETERRENT's 0/1 set-membership observations. Alongside the row-major
+/// weights the network keeps a transposed copy (one contiguous row of
+/// output weights per input), which [`Mlp::set_parameters`] refreshes. The
+/// forward pass adds each non-zero input's row to all outputs at once, and
+/// the backward pass skips zero inputs and zero output gradients. Both are
+/// exact for finite values: every output still sums its bias first and its
+/// inputs in ascending index order, and a skipped term `w · 0.0` is a signed
+/// zero, which leaves a sum unchanged (gradient sums start at `+0.0` and
+/// round-to-nearest never turns them into `-0.0`).
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layer_sizes: Vec<usize>,
     /// weights[l] has shape (out, in) stored row-major; biases[l] has len out.
     weights: Vec<Vec<f64>>,
+    /// weights_t[l] is weights[l] transposed: shape (in, out), row-major.
+    weights_t: Vec<Vec<f64>>,
     biases: Vec<Vec<f64>>,
     grad_weights: Vec<Vec<f64>>,
     grad_biases: Vec<Vec<f64>>,
+    /// Scratch of [`Mlp::backward`]: the gradient flowing into the current
+    /// layer, the one flowing out of it, and the non-zero input indices.
+    grad_scratch: Vec<f64>,
+    prev_grad_scratch: Vec<f64>,
+    active_inputs: Vec<usize>,
 }
 
 impl Mlp {
@@ -52,12 +70,29 @@ impl Mlp {
         }
         let grad_weights = weights.iter().map(|w| vec![0.0; w.len()]).collect();
         let grad_biases = biases.iter().map(|b| vec![0.0; b.len()]).collect();
-        Self {
+        let mut net = Self {
             layer_sizes: layer_sizes.to_vec(),
+            weights_t: weights.clone(),
             weights,
             biases,
             grad_weights,
             grad_biases,
+            grad_scratch: Vec::new(),
+            prev_grad_scratch: Vec::new(),
+            active_inputs: Vec::new(),
+        };
+        net.refresh_transposed();
+        net
+    }
+
+    fn refresh_transposed(&mut self) {
+        for (l, (w, wt)) in self.weights.iter().zip(&mut self.weights_t).enumerate() {
+            let (n_in, n_out) = (self.layer_sizes[l], self.layer_sizes[l + 1]);
+            for o in 0..n_out {
+                for i in 0..n_in {
+                    wt[i * n_out + o] = w[o * n_in + i];
+                }
+            }
         }
     }
 
@@ -95,38 +130,45 @@ impl Mlp {
     /// Panics if `input` does not match [`Mlp::input_dim`].
     #[must_use]
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
-        self.forward_full(input).pop().expect("at least one layer")
+        let mut acts = Vec::new();
+        self.forward_full(input, &mut acts);
+        acts.pop().expect("at least one layer")
     }
 
-    /// Runs a forward pass returning the activations of every layer
-    /// (including the input). Needed for backpropagation.
+    /// Runs a forward pass, writing the activations of every layer
+    /// (including the input) into `acts`, which [`Mlp::backward`] needs.
+    /// `acts` is resized to fit and can be reused across calls without
+    /// allocating.
     ///
     /// # Panics
     ///
     /// Panics if `input` does not match [`Mlp::input_dim`].
-    #[must_use]
-    pub fn forward_full(&self, input: &[f64]) -> Vec<Vec<f64>> {
+    pub fn forward_full(&self, input: &[f64], acts: &mut Vec<Vec<f64>>) {
         assert_eq!(input.len(), self.input_dim(), "input dimension mismatch");
         let num_layers = self.weights.len();
-        let mut acts = Vec::with_capacity(num_layers + 1);
-        acts.push(input.to_vec());
+        acts.resize_with(num_layers + 1, Vec::new);
+        acts[0].clear();
+        acts[0].extend_from_slice(input);
         for l in 0..num_layers {
-            let n_in = self.layer_sizes[l];
             let n_out = self.layer_sizes[l + 1];
-            let prev = &acts[l];
-            let mut out = vec![0.0; n_out];
-            for (o, out_val) in out.iter_mut().enumerate() {
-                let row = &self.weights[l][o * n_in..(o + 1) * n_in];
-                let mut sum = self.biases[l][o];
-                for (w, x) in row.iter().zip(prev.iter()) {
-                    sum += w * x;
+            let (done, rest) = acts.split_at_mut(l + 1);
+            let prev = &done[l];
+            let out = &mut rest[0];
+            out.clear();
+            out.extend_from_slice(&self.biases[l]);
+            for (i, &x) in prev.iter().enumerate() {
+                if x != 0.0 {
+                    let row = &self.weights_t[l][i * n_out..(i + 1) * n_out];
+                    for (o, &w) in out.iter_mut().zip(row) {
+                        *o += w * x;
+                    }
                 }
-                // tanh on hidden layers, identity on the output layer.
-                *out_val = if l + 1 == num_layers { sum } else { sum.tanh() };
             }
-            acts.push(out);
+            // tanh on hidden layers, identity on the output layer.
+            if l + 1 < num_layers {
+                out.iter_mut().for_each(|o| *o = o.tanh());
+            }
         }
-        acts
     }
 
     /// Accumulates gradients for one sample given the activations from
@@ -145,36 +187,60 @@ impl Mlp {
             "activation count mismatch"
         );
         assert_eq!(grad_output.len(), self.output_dim(), "output grad mismatch");
-        let mut grad = grad_output.to_vec();
+        let mut delta = std::mem::take(&mut self.grad_scratch);
+        let mut prev_grad = std::mem::take(&mut self.prev_grad_scratch);
+        delta.clear();
+        delta.extend_from_slice(grad_output);
         for l in (0..num_layers).rev() {
             let n_in = self.layer_sizes[l];
+            let inputs = &activations[l];
             // Derivative through the activation of layer l's output.
-            let mut delta = grad.clone();
             if l + 1 != num_layers {
                 for (d, &a) in delta.iter_mut().zip(activations[l + 1].iter()) {
                     *d *= 1.0 - a * a; // d tanh(z)/dz = 1 - tanh(z)^2
                 }
             }
-            // Parameter gradients.
+            // Parameter gradients; the network input is sparse, so its
+            // layer visits only the non-zero entries.
+            if l == 0 {
+                self.active_inputs.clear();
+                self.active_inputs
+                    .extend((0..n_in).filter(|&i| inputs[i] != 0.0));
+            }
             for (o, &d) in delta.iter().enumerate() {
+                if d == 0.0 {
+                    continue;
+                }
                 self.grad_biases[l][o] += d;
                 let row = &mut self.grad_weights[l][o * n_in..(o + 1) * n_in];
-                for (i, g) in row.iter_mut().enumerate() {
-                    *g += d * activations[l][i];
+                if l == 0 {
+                    for &i in &self.active_inputs {
+                        row[i] += d * inputs[i];
+                    }
+                } else {
+                    for (g, &x) in row.iter_mut().zip(inputs) {
+                        *g += d * x;
+                    }
                 }
             }
             // Gradient with respect to the previous layer's activations.
             if l > 0 {
-                let mut prev_grad = vec![0.0; n_in];
+                prev_grad.clear();
+                prev_grad.resize(n_in, 0.0);
                 for (o, &d) in delta.iter().enumerate() {
+                    if d == 0.0 {
+                        continue;
+                    }
                     let row = &self.weights[l][o * n_in..(o + 1) * n_in];
-                    for (i, pg) in prev_grad.iter_mut().enumerate() {
-                        *pg += d * row[i];
+                    for (pg, &w) in prev_grad.iter_mut().zip(row) {
+                        *pg += d * w;
                     }
                 }
-                grad = prev_grad;
+                std::mem::swap(&mut delta, &mut prev_grad);
             }
         }
+        self.grad_scratch = delta;
+        self.prev_grad_scratch = prev_grad;
     }
 
     /// Clears accumulated gradients.
@@ -231,12 +297,136 @@ impl Mlp {
             b.copy_from_slice(&params[offset..offset + b_len]);
             offset += b_len;
         }
+        self.refresh_transposed();
+    }
+}
+
+/// The dense per-sample passes the sparse ones replaced, kept as the
+/// reference the equivalence tests compare against bit for bit.
+#[cfg(test)]
+impl Mlp {
+    pub(crate) fn forward_full_reference(&self, input: &[f64]) -> Vec<Vec<f64>> {
+        assert_eq!(input.len(), self.input_dim(), "input dimension mismatch");
+        let num_layers = self.weights.len();
+        let mut acts = Vec::with_capacity(num_layers + 1);
+        acts.push(input.to_vec());
+        for l in 0..num_layers {
+            let n_in = self.layer_sizes[l];
+            let n_out = self.layer_sizes[l + 1];
+            let prev = &acts[l];
+            let mut out = vec![0.0; n_out];
+            for (o, out_val) in out.iter_mut().enumerate() {
+                let row = &self.weights[l][o * n_in..(o + 1) * n_in];
+                let mut sum = self.biases[l][o];
+                for (w, x) in row.iter().zip(prev.iter()) {
+                    sum += w * x;
+                }
+                *out_val = if l + 1 == num_layers { sum } else { sum.tanh() };
+            }
+            acts.push(out);
+        }
+        acts
+    }
+
+    pub(crate) fn backward_reference(&mut self, activations: &[Vec<f64>], grad_output: &[f64]) {
+        let num_layers = self.weights.len();
+        let mut grad = grad_output.to_vec();
+        for l in (0..num_layers).rev() {
+            let n_in = self.layer_sizes[l];
+            let mut delta = grad.clone();
+            if l + 1 != num_layers {
+                for (d, &a) in delta.iter_mut().zip(activations[l + 1].iter()) {
+                    *d *= 1.0 - a * a;
+                }
+            }
+            for (o, &d) in delta.iter().enumerate() {
+                self.grad_biases[l][o] += d;
+                let row = &mut self.grad_weights[l][o * n_in..(o + 1) * n_in];
+                for (i, g) in row.iter_mut().enumerate() {
+                    *g += d * activations[l][i];
+                }
+            }
+            if l > 0 {
+                let mut prev_grad = vec![0.0; n_in];
+                for (o, &d) in delta.iter().enumerate() {
+                    let row = &self.weights[l][o * n_in..(o + 1) * n_in];
+                    for (i, pg) in prev_grad.iter_mut().enumerate() {
+                        *pg += d * row[i];
+                    }
+                }
+                grad = prev_grad;
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// An input of `width` entries: 0/1 membership flags, dense reals, or
+    /// all zeros, by `kind`.
+    fn input_of(kind: u8, width: usize, rng: &mut StdRng) -> Vec<f64> {
+        (0..width)
+            .map(|_| match kind {
+                0 => f64::from(u8::from(rng.gen_range(0.0..1.0) < 0.2)),
+                1 => rng.gen_range(-1.5..1.5),
+                _ => 0.0,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The sparse passes reproduce the dense reference bit for bit:
+        /// activations, and gradients accumulated over several samples
+        /// (some of whose output gradients are exact zeros, as a masked
+        /// policy's are).
+        #[test]
+        fn sparse_passes_match_dense_reference(
+            seed in any::<u64>(),
+            n_in in 1usize..40,
+            hidden in 1usize..12,
+            n_out in 1usize..20,
+            kind in 0u8..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut net = Mlp::new(&[n_in, hidden, hidden, n_out], seed);
+            // Non-zero biases, as after training.
+            let params: Vec<f64> = net
+                .parameters()
+                .iter()
+                .map(|p| p + rng.gen_range(-0.1..0.1))
+                .collect();
+            net.set_parameters(&params);
+            let mut reference = net.clone();
+            let mut acts = Vec::new();
+            for _ in 0..4 {
+                let input = input_of(kind, n_in, &mut rng);
+                let expected = reference.forward_full_reference(&input);
+                net.forward_full(&input, &mut acts);
+                prop_assert_eq!(acts.len(), expected.len());
+                for (got, want) in acts.iter().zip(&expected) {
+                    prop_assert_eq!(bits(got), bits(want));
+                }
+                let grad_out: Vec<f64> = (0..n_out)
+                    .map(|_| if rng.gen_range(0.0..1.0) < 0.3 { 0.0 } else { rng.gen_range(-1.0..1.0) })
+                    .collect();
+                reference.backward_reference(&expected, &grad_out);
+                net.backward(&acts, &grad_out);
+                prop_assert_eq!(bits(&net.gradients()), bits(&reference.gradients()));
+            }
+            let input = input_of(kind, n_in, &mut rng);
+            let expected = reference.forward_full_reference(&input);
+            prop_assert_eq!(bits(&net.forward(&input)), bits(&expected[3]));
+        }
+    }
 
     #[test]
     fn shapes_and_parameter_count() {
@@ -265,7 +455,8 @@ mod tests {
         let mut net = Mlp::new(&[3, 5, 2], 42);
         let input = [0.3, -0.7, 0.2];
         // Loss = sum of squared outputs.
-        let acts = net.forward_full(&input);
+        let mut acts = Vec::new();
+        net.forward_full(&input, &mut acts);
         let out = acts.last().unwrap().clone();
         let grad_out: Vec<f64> = out.iter().map(|&o| 2.0 * o).collect();
         net.zero_grad();
@@ -296,7 +487,8 @@ mod tests {
     #[test]
     fn gradients_accumulate_until_zeroed() {
         let mut net = Mlp::new(&[2, 3, 1], 5);
-        let acts = net.forward_full(&[1.0, -1.0]);
+        let mut acts = Vec::new();
+        net.forward_full(&[1.0, -1.0], &mut acts);
         net.backward(&acts, &[1.0]);
         let g1 = net.gradients();
         net.backward(&acts, &[1.0]);

@@ -73,7 +73,8 @@ pub struct Transition {
     pub action: usize,
     /// Reward received.
     pub reward: f64,
-    /// Whether the episode terminated after this step.
+    /// Whether the episode ended after this step: it terminated, or the
+    /// collection loop cut it short (see [`crate::TrainOptions::max_steps`]).
     pub done: bool,
     /// Log-probability of the action under the behaviour policy.
     pub log_prob: f64,
@@ -516,6 +517,127 @@ impl PpoTrainer {
             *a = (*a - mean) / std;
         }
 
+        // Take the transitions out instead of cloning them; the emptied
+        // vector goes back afterwards so the buffer keeps its capacity.
+        let mut transitions = std::mem::take(&mut self.buffer.transitions);
+        let n = transitions.len() as f64;
+        let mut last = PpoLosses::default();
+        let mut acts = Vec::new();
+        let mut vacts = Vec::new();
+        let mut grad_logits = vec![0.0; self.num_actions];
+
+        for _ in 0..self.config.epochs {
+            self.policy.zero_grad();
+            self.value.zero_grad();
+            let mut policy_loss = 0.0;
+            let mut entropy_loss = 0.0;
+            let mut value_loss = 0.0;
+
+            for (i, t) in transitions.iter().enumerate() {
+                let adv = advantages[i];
+                let ret = returns[i];
+
+                // ---- policy ----
+                self.policy.forward_full(&t.state, &mut acts);
+                let logits = acts.last().expect("output layer");
+                let dist = if t.mask.is_empty() {
+                    MaskedCategorical::new(logits, None)
+                } else {
+                    MaskedCategorical::new(logits, Some(&t.mask))
+                };
+                let new_log_prob = dist.log_prob(t.action);
+                let ratio = (new_log_prob - t.log_prob).exp();
+                let clipped = ratio.clamp(
+                    1.0 - self.config.clip_epsilon,
+                    1.0 + self.config.clip_epsilon,
+                );
+                let surr1 = ratio * adv;
+                let surr2 = clipped * adv;
+                policy_loss += -surr1.min(surr2);
+                let entropy = dist.entropy();
+                entropy_loss += -entropy;
+
+                // Gradient of the per-sample loss w.r.t. the logits.
+                grad_logits.iter_mut().for_each(|g| *g = 0.0);
+                if surr1 <= surr2 {
+                    // Unclipped branch is active: d(-ratio·adv)/dlogits.
+                    let glp = dist.grad_log_prob(t.action);
+                    for (g, d) in grad_logits.iter_mut().zip(glp.iter()) {
+                        *g += -ratio * adv * d;
+                    }
+                }
+                // Entropy term: c_ε · d(-H)/dlogits.
+                let ge = dist.grad_entropy();
+                for (g, d) in grad_logits.iter_mut().zip(ge.iter()) {
+                    *g += self.config.entropy_coef * (-d);
+                }
+                // Scale by 1/n for the batch mean.
+                for g in &mut grad_logits {
+                    *g /= n;
+                }
+                self.policy.backward(&acts, &grad_logits);
+
+                // ---- value ----
+                self.value.forward_full(&t.state, &mut vacts);
+                let v = vacts.last().expect("output layer")[0];
+                let err = v - ret;
+                value_loss += 0.5 * err * err;
+                self.value
+                    .backward(&vacts, &[self.config.value_coef * err / n]);
+            }
+
+            // Apply gradients.
+            let mut pparams = self.policy.parameters();
+            self.policy_opt.step(&mut pparams, &self.policy.gradients());
+            self.policy.set_parameters(&pparams);
+            let mut vparams = self.value.parameters();
+            self.value_opt.step(&mut vparams, &self.value.gradients());
+            self.value.set_parameters(&vparams);
+
+            policy_loss /= n;
+            entropy_loss /= n;
+            value_loss /= n;
+            last = PpoLosses {
+                policy_loss,
+                entropy_loss,
+                value_loss,
+                total_loss: policy_loss
+                    + self.config.entropy_coef * entropy_loss
+                    + self.config.value_coef * value_loss,
+            };
+        }
+
+        transitions.clear();
+        self.buffer.transitions = transitions;
+        self.total_updates += 1;
+        self.loss_history.push((self.total_steps, last));
+        last
+    }
+}
+
+/// The per-sample dense update the sparse passes replaced, kept as the
+/// reference the equivalence tests compare against bit for bit.
+#[cfg(test)]
+impl PpoTrainer {
+    pub(crate) fn buffer(&self) -> &RolloutBuffer {
+        &self.buffer
+    }
+
+    pub(crate) fn update_reference(&mut self) -> PpoLosses {
+        let (mut advantages, returns) = self
+            .buffer
+            .advantages_and_returns(self.config.gamma, self.config.gae_lambda);
+        let mean = advantages.iter().sum::<f64>() / advantages.len() as f64;
+        let var = advantages
+            .iter()
+            .map(|a| (a - mean) * (a - mean))
+            .sum::<f64>()
+            / advantages.len() as f64;
+        let std = var.sqrt().max(1e-8);
+        for a in &mut advantages {
+            *a = (*a - mean) / std;
+        }
+
         let transitions = self.buffer.transitions().to_vec();
         let n = transitions.len() as f64;
         let mut last = PpoLosses::default();
@@ -532,7 +654,7 @@ impl PpoTrainer {
                 let ret = returns[i];
 
                 // ---- policy ----
-                let acts = self.policy.forward_full(&t.state);
+                let acts = self.policy.forward_full_reference(&t.state);
                 let logits = acts.last().expect("output layer").clone();
                 let dist = if t.mask.is_empty() {
                     MaskedCategorical::new(&logits, None)
@@ -569,15 +691,15 @@ impl PpoTrainer {
                 for g in &mut grad_logits {
                     *g /= n;
                 }
-                self.policy.backward(&acts, &grad_logits);
+                self.policy.backward_reference(&acts, &grad_logits);
 
                 // ---- value ----
-                let vacts = self.value.forward_full(&t.state);
+                let vacts = self.value.forward_full_reference(&t.state);
                 let v = vacts.last().expect("output layer")[0];
                 let err = v - ret;
                 value_loss += 0.5 * err * err;
                 let grad_v = vec![self.config.value_coef * err / n];
-                self.value.backward(&vacts, &grad_v);
+                self.value.backward_reference(&vacts, &grad_v);
             }
 
             // Apply gradients.
@@ -859,6 +981,63 @@ mod tests {
         );
         // Slimming more entries than exist keeps everything.
         assert_eq!(full.slimmed(1000).loss_history, full.loss_history);
+    }
+
+    #[test]
+    fn sparse_update_matches_dense_reference() {
+        // DETERRENT's shape: 284 rare nets, 0/1 membership states with a
+        // few dozen ones, and masks that allow a shrinking candidate set.
+        let width = 284;
+        let config = PpoConfig {
+            batch_size: 96,
+            ..PpoConfig::boosted_exploration()
+        };
+        let mut fast = PpoTrainer::new(width, width, &config, 2022);
+        let mut reference = fast.clone();
+        let mut rng = StdRng::seed_from_u64(17);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let loss_bits = |l: PpoLosses| {
+            [l.policy_loss, l.entropy_loss, l.value_loss, l.total_loss].map(f64::to_bits)
+        };
+        for round in 0..5 {
+            for step in 0..config.batch_size {
+                let state: Vec<f64> = (0..width)
+                    .map(|_| f64::from(u8::from(rng.gen_range(0.0..1.0) < 0.16)))
+                    .collect();
+                let mask: Vec<bool> = if step % 31 == 0 {
+                    Vec::new()
+                } else {
+                    let keep = rng.gen_range(0.02..0.6);
+                    let mut m: Vec<bool> =
+                        (0..width).map(|_| rng.gen_range(0.0..1.0) < keep).collect();
+                    m[rng.gen_range(0..width)] = true;
+                    m
+                };
+                let (action, log_prob, value) = fast.policy_step(&state, &mask, &mut rng);
+                let dense = reference.policy.forward_full_reference(&state);
+                assert_eq!(bits(&fast.policy.forward(&state)), bits(&dense[3]));
+                let transition = Transition {
+                    state,
+                    mask,
+                    action,
+                    reward: f64::from(u8::from(action % 3 == 0)) * (step as f64),
+                    done: step % 12 == 11 || step + 1 == config.batch_size,
+                    log_prob,
+                    value,
+                };
+                fast.record(transition.clone());
+                reference.record(transition);
+            }
+            let got = fast.update_if_ready().expect("a full batch updates");
+            let want = reference.update_reference();
+            assert_eq!(loss_bits(got), loss_bits(want), "update {round}: losses");
+            let (a, b) = (fast.snapshot(), reference.snapshot());
+            let params = |s: &PolicySnapshot| [bits(&s.policy_params), bits(&s.value_params)];
+            assert_eq!(params(&a), params(&b), "update {round}: parameters");
+            assert_eq!(a, b, "update {round}: snapshot");
+            assert_eq!(fast.pending_transitions(), 0);
+        }
+        assert_eq!(fast.total_updates(), 5);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use exec::{split_seed, Exec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::env::close_episode;
 use crate::{Environment, PpoTrainer, TrainReport, Transition};
 
 /// Salt separating an episode's *action* stream from its *environment*
@@ -36,7 +37,8 @@ const ACTION_STREAM_SALT: u64 = 0xAC71_0257_ACCE_55ED;
 pub struct CollectOptions {
     /// Number of episodes to collect.
     pub count: usize,
-    /// Maximum steps per episode (episodes may end earlier via `done`).
+    /// Maximum steps per episode (episodes may end earlier via `done`). An
+    /// episode's last transition is recorded as terminal either way.
     pub max_steps: usize,
     /// Master seed; per-episode streams are split from it.
     pub seed: u64,
@@ -115,6 +117,7 @@ where
                 break;
             }
         }
+        close_episode(&mut transitions);
         EpisodeOutcome {
             transitions,
             total_reward,
