@@ -50,21 +50,6 @@ fn bench_strategies(c: &mut Criterion) {
             )
         })
     });
-    c.bench_function("compat/funnel_no_cone_sat", |b| {
-        b.iter(|| {
-            CompatibilityGraph::build_with(
-                &nl,
-                &analysis,
-                &CompatBuildOptions {
-                    threads: 1,
-                    strategy: CompatStrategy::Funnel(FunnelOptions {
-                        cone_sat: false,
-                        ..FunnelOptions::default()
-                    }),
-                },
-            )
-        })
-    });
 }
 
 criterion_group! {

@@ -11,15 +11,13 @@
 //! produce the identical graph, so the ratio is a pure wall-clock speedup.
 //!
 //! Usage: `funnel [--scale N] [--seed N] [--theta F] [--patterns N]
-//! [--threads N] [--limit K] [--min-speedup F] [--cache-dir DIR]
+//! [--threads N] [--min-speedup F] [--cache-dir DIR]
 //! [--solver modern|legacy] [--expect-reduction] [--max-decision-regression P]
 //! [--cap-min N]`
 //! (defaults match the
 //! acceptance profile: c2670 at scale 20, θ = 0.2, and the paper's 100k
-//! random-pattern budget). The enumeration tier defaults to the self-tuning
-//! per-pair cost model; `--limit K` overrides it with the legacy fixed
-//! support cutoff (`--limit 0` disables enumeration). `--threads 0` resolves
-//! via `DETERRENT_THREADS`/available cores. A non-zero `--min-speedup` turns
+//! random-pattern budget). `--threads 0` resolves via
+//! `DETERRENT_THREADS`/available cores. A non-zero `--min-speedup` turns
 //! the speedup report into a gate, skipped when the host has fewer cores
 //! than workers (a 1-core box cannot exhibit wall-clock speedup).
 //! `--cache-dir DIR` persists the (untimed) all-SAT reference graph in the
@@ -42,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use deterrent_core::{
     ArtifactStore, CompatBuildOptions, CompatStrategy, CompatibilityGraph, DeterrentConfig,
-    DeterrentSession, EnumerationBudget, FunnelOptions,
+    DeterrentSession, FunnelOptions,
 };
 use exec::Exec;
 use netlist::synth::BenchmarkProfile;
@@ -56,8 +54,6 @@ struct Args {
     theta: f64,
     patterns: usize,
     threads: usize,
-    /// `None` = adaptive cost model; `Some(k)` = legacy fixed support limit.
-    limit: Option<u32>,
     min_speedup: f64,
     /// Persistent artifact-cache directory for the all-SAT reference graph.
     cache_dir: Option<PathBuf>,
@@ -75,14 +71,6 @@ struct Args {
 }
 
 impl Args {
-    fn enumeration(&self) -> EnumerationBudget {
-        match self.limit {
-            None => EnumerationBudget::self_tuning(),
-            Some(0) => EnumerationBudget::Disabled,
-            Some(k) => EnumerationBudget::FixedSupportLimit(k),
-        }
-    }
-
     fn solver(&self) -> SolverConfig {
         let mut config = if self.solver_legacy {
             SolverConfig::legacy()
@@ -104,7 +92,6 @@ fn parse_args() -> Args {
         theta: 0.2,
         patterns: 100_000,
         threads: 1,
-        limit: None,
         min_speedup: 0.0,
         cache_dir: None,
         solver_legacy: false,
@@ -130,7 +117,6 @@ fn parse_args() -> Args {
             ("--theta", Some(v)) => args.theta = parse_or_die("--theta", v),
             ("--patterns", Some(v)) => args.patterns = parse_or_die("--patterns", v),
             ("--threads", Some(v)) => args.threads = parse_or_die("--threads", v),
-            ("--limit", Some(v)) => args.limit = Some(parse_or_die("--limit", v)),
             ("--min-speedup", Some(v)) => args.min_speedup = parse_or_die("--min-speedup", v),
             ("--cache-dir", Some(v)) => args.cache_dir = Some(PathBuf::from(v)),
             ("--solver", Some(v)) => {
@@ -154,7 +140,7 @@ fn parse_args() -> Args {
             ("--cap-min", Some(v)) => args.cap_min = Some(parse_or_die("--cap-min", v)),
             (flag, _) => {
                 eprintln!(
-                    "error: unknown or valueless flag {flag:?} (expected --scale/--seed/--theta/--patterns/--threads/--limit/--min-speedup/--cache-dir/--solver/--max-decision-regression/--cap-min <value> or --expect-reduction)"
+                    "error: unknown or valueless flag {flag:?} (expected --scale/--seed/--theta/--patterns/--threads/--min-speedup/--cache-dir/--solver/--max-decision-regression/--cap-min <value> or --expect-reduction)"
                 );
                 std::process::exit(2);
             }
@@ -189,7 +175,6 @@ fn offline_phase(
         &CompatBuildOptions {
             threads: threads.max(1),
             strategy: CompatStrategy::Funnel(FunnelOptions {
-                enumeration: args.enumeration(),
                 solver: args.solver(),
                 ..FunnelOptions::default()
             }),
@@ -234,20 +219,6 @@ fn main() {
         netlist.num_scan_inputs(),
         threads,
     );
-    match args.enumeration() {
-        EnumerationBudget::SelfTuning { probe_pairs, .. } => {
-            println!(
-                "enumeration budget: self-tuning per-pair cost model, {probe_pairs} probes (default)"
-            );
-        }
-        EnumerationBudget::Adaptive { .. } => {
-            println!("enumeration budget: adaptive per-pair cost model");
-        }
-        EnumerationBudget::FixedSupportLimit(k) => {
-            println!("enumeration budget: fixed support limit {k} (--limit override)");
-        }
-        EnumerationBudget::Disabled => println!("enumeration budget: disabled (--limit 0)"),
-    }
     println!(
         "solver: {}",
         if args.solver_legacy {
@@ -404,12 +375,6 @@ fn main() {
         "learned clauses: learned={} deleted={} reduces={} peak_live={}",
         sv.learned_clauses, sv.deleted_clauses, sv.reduces, sv.peak_learnts
     );
-    if fs.budget_self_tuned {
-        println!(
-            "budget self-tuned: base={} per_gate={} word ops from {} probe(s)",
-            fs.budget_sat_base_word_ops, fs.budget_sat_per_gate_word_ops, fs.budget_probe_queries
-        );
-    }
 
     let mut failed = false;
     if args.expect_reduction {
@@ -435,7 +400,6 @@ fn main() {
             theta: args.theta,
             patterns: args.patterns,
             threads: args.threads,
-            limit: args.limit,
             min_speedup: 0.0,
             cache_dir: None,
             solver_legacy: true,

@@ -1,11 +1,12 @@
 //! Funnel equivalence under solver-configuration changes.
 //!
-//! The raw-speed SAT core (Luby restarts, learned-clause deletion,
-//! self-tuned enumeration budgets) is a pure performance layer: every
-//! verdict it returns must match the legacy pre-deletion solver exactly.
-//! This suite builds the compatibility graph on a scaled c2670 and on a
-//! planted-Trojan variant of it, with the modern and the legacy solver, at
-//! one and at four worker threads, and demands:
+//! The raw-speed SAT core (Luby restarts, learned-clause deletion) is a
+//! pure performance layer: every verdict it returns must match the legacy
+//! pre-deletion solver exactly. This suite builds the compatibility graph
+//! on a scaled c2670, on a planted-Trojan variant of it, and on a scaled
+//! sequential s35932 (where tier 3 carries about half the pairs), with the
+//! modern and the legacy solver, at one and at four worker threads, and
+//! demands:
 //!
 //! - bit-identical adjacency matrices (and identical kept rare-net lists)
 //!   across every solver × thread combination;
@@ -93,8 +94,12 @@ fn assert_equivalent_on(netlist: &Netlist, label: &str) {
 
 #[test]
 fn clean_netlist_adjacency_is_solver_and_thread_independent() {
-    let netlist = BenchmarkProfile::c2670().scaled(20).generate(100);
-    assert_equivalent_on(&netlist, "clean c2670@20");
+    for (profile, label) in [
+        (BenchmarkProfile::c2670().scaled(20), "clean c2670@20"),
+        (BenchmarkProfile::s35932().scaled(20), "clean s35932@20"),
+    ] {
+        assert_equivalent_on(&profile.generate(100), label);
+    }
 }
 
 #[test]
