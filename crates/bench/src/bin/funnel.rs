@@ -320,7 +320,17 @@ fn main() {
     );
     println!(
         "{:<34} {:>12} {:>12}",
-        "  tier 3: SAT-resolved", along.pairs_sat_resolved, fs.pairs_sat_resolved
+        "  tier 3a: implication-refuted",
+        along.pairs_implication_refuted,
+        fs.pairs_implication_refuted
+    );
+    println!(
+        "{:<34} {:>12} {:>12}",
+        "  tier 3b: descent-witnessed", along.pairs_descent_witnessed, fs.pairs_descent_witnessed
+    );
+    println!(
+        "{:<34} {:>12} {:>12}",
+        "  tier 3c: SAT-resolved", along.pairs_sat_resolved, fs.pairs_sat_resolved
     );
     println!(
         "{:<34} {:>12} {:>12}",
@@ -346,6 +356,14 @@ fn main() {
         Duration::from_nanos(fs.tier1_nanos),
         Duration::from_nanos(fs.tier2_nanos),
         Duration::from_nanos(fs.tier3_nanos),
+    );
+    println!(
+        "tier 3 sub-tiers: 3a refuted={} ({:?}) 3b witnessed={} ({:?}) 3c sat={}",
+        fs.pairs_implication_refuted,
+        Duration::from_nanos(fs.implication_nanos),
+        fs.pairs_descent_witnessed,
+        Duration::from_nanos(fs.descent_nanos),
+        fs.pairs_sat_resolved,
     );
 
     let pairwise_reduction = if fs.pairwise_sat_queries() == 0 {

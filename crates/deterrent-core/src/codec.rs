@@ -107,8 +107,9 @@ const MAGIC: [u8; 8] = *b"DTRNTC\x01\n";
 /// fused analyze artifact into estimate (stage tag 6) + re-keyed
 /// threshold payloads; version 4 extended `CompatStats` with SAT solver
 /// counters and self-tuned enumeration-budget fields; version 5 dropped the
-/// enumeration-budget fields again (the cost model is fixed).
-pub(crate) const FORMAT_VERSION: u32 = 5;
+/// enumeration-budget fields again (the cost model is fixed); version 6
+/// added the tier-3a/3b pair counts and nanoseconds to `CompatStats`.
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
 const HEADER_LEN: usize = 40;
 
@@ -633,11 +634,15 @@ fn w_stats(w: &mut Writer, stats: &CompatStats) {
     w.u64(stats.pairs_sim_witnessed);
     w.u64(stats.pairs_structurally_pruned);
     w.u64(stats.pairs_cone_enumerated);
+    w.u64(stats.pairs_implication_refuted);
+    w.u64(stats.pairs_descent_witnessed);
     w.u64(stats.pairs_sat_resolved);
     w.usize(stats.threads_used);
     w.u64(stats.tier1_nanos);
     w.u64(stats.tier2_nanos);
     w.u64(stats.tier3_nanos);
+    w.u64(stats.implication_nanos);
+    w.u64(stats.descent_nanos);
     w.u64(stats.solver.conflicts);
     w.u64(stats.solver.decisions);
     w.u64(stats.solver.propagations);
@@ -658,11 +663,15 @@ fn r_stats(r: &mut Reader<'_>) -> Decode<CompatStats> {
         pairs_sim_witnessed: r.u64()?,
         pairs_structurally_pruned: r.u64()?,
         pairs_cone_enumerated: r.u64()?,
+        pairs_implication_refuted: r.u64()?,
+        pairs_descent_witnessed: r.u64()?,
         pairs_sat_resolved: r.u64()?,
         threads_used: r.usize()?,
         tier1_nanos: r.u64()?,
         tier2_nanos: r.u64()?,
         tier3_nanos: r.u64()?,
+        implication_nanos: r.u64()?,
+        descent_nanos: r.u64()?,
         solver: sat::SolverStats {
             conflicts: r.u64()?,
             decisions: r.u64()?,
@@ -1857,6 +1866,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn tier3_sub_stage_counters_round_trip() {
+        let stats = CompatStats {
+            pairs_total: 10,
+            pairs_implication_refuted: 3,
+            pairs_descent_witnessed: 4,
+            pairs_sat_resolved: 2,
+            pairs_sim_witnessed: 1,
+            implication_nanos: 1234,
+            descent_nanos: 5678,
+            tier3_nanos: 9999,
+            ..CompatStats::default()
+        };
+        let graph =
+            CompatibilityGraph::from_raw_parts(Vec::new(), Vec::new(), stats, None, Vec::new());
+        let artifact = GraphArtifact::new(3, graph, 0.1, 0.25);
+        let decoded = decode_graph(3, &encode_graph(&artifact, false)).expect("decode");
+        assert_eq!(decoded.graph().stats(), &stats);
+    }
+
+    #[test]
+    fn v5_graph_files_are_version_mismatches() {
+        let root = temp_root("v5-graph");
+        let disk = DiskStore::with_faults(root.clone(), crate::CachePolicy::default(), None);
+        // A format-version-5 graph file: its `CompatStats` lack the tier-3a/3b
+        // fields, so it must read as version skew, never be decoded.
+        let key = 0x55u64;
+        let payload = b"v5 graph payload";
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&5u32.to_le_bytes());
+        bytes.extend_from_slice(&DiskStage::Graph.tag().to_le_bytes());
+        bytes.extend_from_slice(&key.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        let dir = root.join(DiskStage::Graph.dir());
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(format!("{key:016x}.{FILE_EXT}")), &bytes).unwrap();
+        assert_eq!(FORMAT_VERSION, 6);
+        match disk.load(DiskStage::Graph, key) {
+            DiskLookup::Failed(err) => {
+                assert_eq!(err.kind, crate::cache::CacheErrorKind::VersionMismatch);
+            }
+            _ => panic!("a v5 graph file must classify as a failed lookup"),
+        }
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

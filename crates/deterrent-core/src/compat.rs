@@ -15,31 +15,60 @@
 //!    sets of scan inputs ([`netlist::InputSupports`]) can be justified
 //!    independently and the partial patterns merged, so the pair is
 //!    compatible exactly when both nets are individually justifiable — which
-//!    the singleton stage already established. Pairs whose **union** support
-//!    is small are decided exactly by bounded exhaustive cone enumeration
-//!    ([`sim::ConeSimulator`]): unlike random witnesses this proves
-//!    *incompatibility* too, discharging the pairs that would otherwise
-//!    always fall through to SAT. No pairwise SAT either way.
-//! 3. **Tier 3 — cone-restricted incremental SAT.** Only the survivors reach
-//!    a solver, and each worker poses them as assumptions against one
-//!    persistent [`sat::ConeOracle`] that encodes the union of the two fanin
-//!    cones on demand instead of re-encoding the whole netlist per query.
+//!    the singleton stage already established.
+//! 3. **Tier 3 — proofs on a cone-restricted oracle.** The survivors are cut
+//!    into fixed blocks of whole anchors (pairs `(i, j)` grouped by `i`);
+//!    each block gets a fresh [`sat::ConeOracle`] holding the Tseitin clauses
+//!    of its rare nets' fanin cones and nothing else, and runs three
+//!    sub-stages in order:
+//!    - **3a — implication sweep** (static implications in the style of
+//!      SOCRATES, Schulz, Trischler and Sarfert, 1988): one unit propagation
+//!      per rare net of the block; the pair is incompatible when either
+//!      net's rare value forces the other's non-rare value.
+//!    - **3b — descents** (model reuse in the style of FRAIGs, Mishchenko et
+//!      al., 2005): [`sat::ConeOracle::descend`] from each anchor, packed with
+//!      its unresolved partners, repeated while it witnesses a new partner.
+//!      Each returned model's pattern is packed-simulated together with 63
+//!      seeded variants that flip each scan input with probability 1/8;
+//!      every block pair one of those 64 patterns drives to rare values on
+//!      both sides is compatible.
+//!    - **3c — CDCL**: one solver query per pair left, on the same oracle.
+//!
+//! Every verdict is exact. A unit-propagation conflict is a refutation:
+//! the clauses and the rare values cannot all hold. A descent's model is a
+//! complete assignment that satisfies every clause of the oracle, so its
+//! scan-input values form a pattern that drives every net of the encoded
+//! cones to the value the model gives it; simulation then checks that
+//! pattern and its variants directly. The adjacency is therefore the
+//! one the paper's per-pair SAT computes, bit for bit. Routing — which tier
+//! proves which pair — is fixed too: blocks depend only on the survivor
+//! list, never on the thread count, and 3a and 3b run before any CDCL query
+//! in their block, on Tseitin clauses alone, without search or learning, so
+//! no solver configuration can change what they prove.
+//!
+//! The singleton stage that precedes the tiers keeps the rare nets that are
+//! individually justifiable: by a retained witness, by bounded exhaustive
+//! cone enumeration ([`sim::ConeSimulator`]) when a cost model judges that
+//! cheaper than SAT, or by a SAT query.
 
+use std::ops::Range;
 use std::time::Instant;
 
-use exec::Exec;
+use exec::{split_seed, Exec};
 use netlist::{InputSupports, NetId, Netlist};
-use sat::{CircuitOracle, ConeOracle, SolverConfig, SolverStats};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+use sat::{CircuitOracle, ConeOracle, Descent, Lit, SolverConfig, SolverStats};
 use sim::rare::{RareNet, RareNetAnalysis};
-use sim::{ConeSimulator, TestPattern, WitnessBank};
+use sim::{ConeSimulator, PackedValues, Simulator, TestPattern, WitnessBank};
 
 /// Below this many pairs the tier-1 witness sweep stays on the calling
 /// thread: each check is a handful of word ANDs, so spawning workers would
 /// cost more than the sweep itself. Results are identical either way.
 const TIER1_PARALLEL_MIN_PAIRS: usize = 4096;
 
-/// Tier 2's enumeration cost model. Enumerating a pair costs
-/// `2^k / 64 · cone` word operations, where `k` is the union cone's
+/// The singleton stage's enumeration cost model. Enumerating a net costs
+/// `2^k / 64 · cone` word operations, where `k` is the cone's
 /// scan-input support and `cone` its gate count — both known before
 /// committing. A cone-restricted SAT query costs a roughly affine amount in
 /// the cone size: a fixed overhead (encode + solver setup, `2^18` word-op
@@ -54,8 +83,8 @@ const SAT_PER_GATE_WORD_OPS: u64 = 256;
 /// [`ConeSimulator`]'s size).
 const ENUM_MAX_SUPPORT: u32 = 26;
 
-/// Whether a query with the given union support and cone size is cheaper to
-/// enumerate than to hand to SAT. Comparing the two per pair lets
+/// Whether a query with the given support and cone size is cheaper to
+/// enumerate than to hand to SAT. Comparing the two per query lets
 /// small-support/large-cone pairs enumerate deeper than any fixed support
 /// cutoff would dare, while stopping early on the cones where a fixed cutoff
 /// would burn milliseconds per pair. The verdict itself is exact either way:
@@ -73,17 +102,17 @@ fn admits(support: u32, cone_size: usize) -> bool {
 }
 
 /// Per-tier toggles of the compatibility funnel. Disabling a tier pushes its
-/// pairs down to the next one; with every tier off the funnel answers every
-/// pair on its cone-restricted SAT oracles.
+/// pairs down to the next one; with every toggle off, tier 3 resolves every
+/// pair on its cone-restricted oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunnelOptions {
     /// Tier 1: resolve pairs from retained simulation witnesses.
     pub sim_witnesses: bool,
     /// Tier 2: resolve pairs whose cone supports are disjoint.
     pub structural_pruning: bool,
-    /// Tier 2: bounded exhaustive cone enumeration (the only SAT-free tier
-    /// that can prove a pair *incompatible*), run on every pair a per-pair
-    /// cost model judges cheaper to enumerate than to solve.
+    /// Singleton stage: bounded exhaustive cone enumeration, run on every
+    /// rare net without a witness that a cost model judges cheaper to
+    /// enumerate than to solve.
     pub enumeration: bool,
     /// Configuration of every CDCL solver the build creates (restart policy,
     /// clause deletion). Verdicts — and therefore the adjacency — are
@@ -110,8 +139,8 @@ pub enum CompatStrategy {
     /// One SAT justification per pair on whole-netlist oracles (the
     /// paper's offline phase).
     AllSat,
-    /// The three-tier simulation-first funnel, with cone-restricted SAT
-    /// oracles in tier 3.
+    /// The three-tier simulation-first funnel, with implication sweeps,
+    /// descents and SAT on cone-restricted oracles in tier 3.
     Funnel(FunnelOptions),
 }
 
@@ -124,8 +153,8 @@ impl Default for CompatStrategy {
 /// Options for [`CompatibilityGraph::build_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompatBuildOptions {
-    /// Worker threads for the parallel tiers (witness sweep, cone
-    /// enumeration, SAT). `0` resolves through [`exec::Exec::new`]: the
+    /// Worker threads for the parallel tiers (witness sweep, tier-3
+    /// blocks). `0` resolves through [`exec::Exec::new`]: the
     /// `DETERRENT_THREADS` environment variable, else all available cores.
     /// The adjacency matrix is bit-identical at any thread count.
     pub threads: usize,
@@ -160,24 +189,39 @@ pub struct CompatStats {
     pub pairs_sim_witnessed: u64,
     /// Pairs resolved by tier 2 (disjoint cone supports).
     pub pairs_structurally_pruned: u64,
-    /// Pairs resolved by tier 2 (bounded exhaustive cone enumeration).
+    /// Pairs resolved by bounded exhaustive cone enumeration. Always 0:
+    /// tier 3 now answers those pairs for less than enumerating them costs,
+    /// so enumeration runs in the singleton stage only. Kept so reports
+    /// that read it stay valid.
     pub pairs_cone_enumerated: u64,
-    /// Pairs resolved by tier 3 (one SAT query each).
+    /// Pairs resolved by tier 3a: unit propagation of one net's rare value
+    /// forces the other's non-rare value (incompatible, no search).
+    pub pairs_implication_refuted: u64,
+    /// Pairs resolved by tier 3b: a descent's model, or one of 63 random
+    /// variants of its pattern, drives both nets to their rare values
+    /// (compatible, no search).
+    pub pairs_descent_witnessed: u64,
+    /// Pairs resolved by tier 3c (one CDCL query each).
     pub pairs_sat_resolved: u64,
     /// Worker threads the parallel tiers ran on.
     pub threads_used: usize,
     /// Wall nanoseconds spent in tier 1 (joint-witness sweep).
     pub tier1_nanos: u64,
-    /// Wall nanoseconds spent in tier 2 (structural pruning + bounded cone
-    /// enumeration).
+    /// Wall nanoseconds spent in tier 2 (structural pruning).
     pub tier2_nanos: u64,
-    /// Wall nanoseconds spent in tier 3 (SAT on the survivors).
+    /// Wall nanoseconds spent in tier 3 (all three sub-tiers).
     pub tier3_nanos: u64,
-    /// Aggregate CDCL statistics over every solver the build created
-    /// (singleton oracle + per-worker tier-3 oracles). Totals depend
-    /// on how tier 3 was chunked across workers, so they are
-    /// scheduling-dependent — unlike the adjacency and the tier pair
-    /// counts.
+    /// Worker nanoseconds spent in tier 3a (implication sweep), summed over
+    /// tier-3 blocks — more than wall time when blocks run in parallel.
+    pub implication_nanos: u64,
+    /// Worker nanoseconds spent in tier 3b (descents), summed over tier-3
+    /// blocks.
+    pub descent_nanos: u64,
+    /// Aggregate solver statistics over every solver the build created
+    /// (singleton oracle + one oracle per tier-3 block), including the
+    /// decisions and propagations of 3a and 3b. The blocks do not depend
+    /// on the thread count, but CDCL work depends on the solver
+    /// configuration — unlike the adjacency and the tier pair counts.
     pub solver: SolverStats,
 }
 
@@ -245,6 +289,187 @@ impl<'a> PairOracle<'a> {
             PairOracle::Full(o) => o.solver_stats(),
         }
     }
+}
+
+/// A tier-3 block closes at the first anchor boundary at or past this many
+/// pairs. The blocks are a function of the survivor list alone — never of
+/// the thread count — so every block proves the same pairs the same way at
+/// any parallelism. Larger blocks let one descent's model witness more
+/// pairs; smaller ones spread tier 3 over more workers.
+const TIER3_BLOCK_PAIRS: usize = 32_768;
+
+/// Splits the tier-3 survivors (sorted by anchor `i`, then partner `j`) into
+/// blocks of whole anchors, each at least [`TIER3_BLOCK_PAIRS`] pairs long
+/// except the last.
+fn tier3_blocks(pairs: &[(usize, usize)]) -> Vec<Range<usize>> {
+    let mut blocks = Vec::new();
+    let mut start = 0;
+    for k in 1..=pairs.len() {
+        let anchor_ends = k == pairs.len() || pairs[k].0 != pairs[k - 1].0;
+        if anchor_ends && (k - start >= TIER3_BLOCK_PAIRS || k == pairs.len()) {
+            blocks.push(start..k);
+            start = k;
+        }
+    }
+    blocks
+}
+
+/// Tier-3 verdicts of one block and the work spent reaching them.
+#[derive(Default)]
+struct BlockOutcome {
+    /// One verdict per pair of the block, in block order.
+    verdicts: Vec<bool>,
+    refuted: u64,
+    witnessed: u64,
+    sat_resolved: u64,
+    implication_nanos: u64,
+    descent_nanos: u64,
+    solver: SolverStats,
+}
+
+/// Resolves one tier-3 block on a fresh oracle. `AllSat` poses one query
+/// per pair. The funnel first runs two search-free sub-stages on the
+/// oracle's Tseitin clauses alone, then poses one CDCL query per pair left:
+///
+/// - **3a, implication sweep:** one unit propagation per rare net of the
+///   block; a pair is incompatible when either net's rare value forces the
+///   other's non-rare value.
+/// - **3b, descents:** each anchor descends with its unresolved partners as
+///   the pack, again while that witnesses a new partner. The model's pattern
+///   and 63 seeded random variants of it are simulated at once; a block
+///   pair that one of them drives rare on both sides is compatible.
+/// - **3c:** one CDCL query per leftover pair, on the same oracle.
+fn resolve_block(
+    netlist: &Netlist,
+    strategy: CompatStrategy,
+    rare_nets: &[RareNet],
+    pairs: &[(usize, usize)],
+) -> BlockOutcome {
+    let target = |k: usize| (rare_nets[k].net, rare_nets[k].rare_value);
+    let mut verdicts: Vec<Option<bool>> = vec![None; pairs.len()];
+    let mut out = BlockOutcome::default();
+    let mut oracle = PairOracle::new(netlist, strategy);
+    if let PairOracle::Cone(cone) = &mut oracle {
+        let mut members: Vec<usize> = pairs.iter().flat_map(|&(i, j)| [i, j]).collect();
+        members.sort_unstable();
+        members.dedup();
+        let roots: Vec<NetId> = members.iter().map(|&k| rare_nets[k].net).collect();
+        cone.encode_roots(&roots);
+        // `slot[k]` is rare net `k`'s position in `members`.
+        let mut slot = vec![usize::MAX; rare_nets.len()];
+        for (s, &k) in members.iter().enumerate() {
+            slot[k] = s;
+        }
+        let rare_lits: Vec<Lit> = members
+            .iter()
+            .map(|&k| cone.lit(rare_nets[k].net, rare_nets[k].rare_value))
+            .collect();
+
+        let start = Instant::now();
+        // `forces[a * m + b]`: member `a`'s rare value forces member `b`'s
+        // non-rare value (or propagating `a` alone conflicts).
+        let m = members.len();
+        let mut forces = vec![false; m * m];
+        let mut implied_lit = vec![false; 2 * cone.num_vars()];
+        for (a, &k) in members.iter().enumerate() {
+            let Some(implied) = cone.propagate_under(&[target(k)]) else {
+                forces[a * m..(a + 1) * m].fill(true);
+                continue;
+            };
+            for lit in &implied {
+                implied_lit[lit.code()] = true;
+            }
+            for (b, &lit) in rare_lits.iter().enumerate() {
+                forces[a * m + b] = implied_lit[(!lit).code()];
+            }
+            for lit in &implied {
+                implied_lit[lit.code()] = false;
+            }
+        }
+        for (verdict, &(i, j)) in verdicts.iter_mut().zip(pairs) {
+            let (a, b) = (slot[i], slot[j]);
+            if forces[a * m + b] || forces[b * m + a] {
+                *verdict = Some(false);
+                out.refuted += 1;
+            }
+        }
+        out.implication_nanos = start.elapsed().as_nanos() as u64;
+
+        let start = Instant::now();
+        // Bit `p` of `rare_patterns[s]`: simulated pattern `p` drives member
+        // `s` to its rare value.
+        let mut rare_patterns = vec![0u64; m];
+        let sim = Simulator::new(netlist);
+        let mut packed = PackedValues::scratch();
+        let mut input_words: Vec<u64> = Vec::new();
+        let mut anchor_start = 0;
+        while anchor_start < pairs.len() {
+            let anchor = pairs[anchor_start].0;
+            let run = anchor_start
+                ..pairs[anchor_start..]
+                    .iter()
+                    .position(|&(i, _)| i != anchor)
+                    .map_or(pairs.len(), |len| anchor_start + len);
+            anchor_start = run.end;
+            let mut round = 0;
+            loop {
+                let pack: Vec<(NetId, bool)> = run
+                    .clone()
+                    .filter(|&k| verdicts[k].is_none())
+                    .map(|k| target(pairs[k].1))
+                    .collect();
+                if pack.is_empty() {
+                    break;
+                }
+                let Descent::Model(model) = cone.descend(&[target(anchor)], &pack) else {
+                    break;
+                };
+                // Pattern 0 of the batch is the model's own; patterns 1–63
+                // flip each of its scan inputs with probability 1/8.
+                let mut rng = StdRng::seed_from_u64(split_seed(anchor as u64, round));
+                round += 1;
+                input_words.clear();
+                input_words.extend(cone.pattern(&model).into_iter().map(|bit| {
+                    let flips = rng.next_u64() & rng.next_u64() & rng.next_u64() & !1;
+                    if bit {
+                        !flips
+                    } else {
+                        flips
+                    }
+                }));
+                sim.run_words_into(&input_words, &mut packed);
+                for (rare, &k) in rare_patterns.iter_mut().zip(&members) {
+                    let word = packed.word(rare_nets[k].net);
+                    *rare = if rare_nets[k].rare_value { word } else { !word };
+                }
+                let mut new_partner = false;
+                for (k, &(i, j)) in pairs.iter().enumerate() {
+                    if verdicts[k].is_none() && rare_patterns[slot[i]] & rare_patterns[slot[j]] != 0
+                    {
+                        verdicts[k] = Some(true);
+                        out.witnessed += 1;
+                        new_partner |= run.contains(&k);
+                    }
+                }
+                if !new_partner {
+                    break;
+                }
+            }
+        }
+        out.descent_nanos = start.elapsed().as_nanos() as u64;
+    }
+    out.verdicts = pairs
+        .iter()
+        .zip(verdicts)
+        .map(|(&(i, j), verdict)| {
+            verdict.unwrap_or_else(|| {
+                out.sat_resolved += 1;
+                oracle.is_compatible(&[target(i), target(j)])
+            })
+        })
+        .collect();
+    out.solver = oracle.solver_stats();
+    out
 }
 
 /// Pairwise compatibility of the rare nets of one design.
@@ -345,7 +570,7 @@ impl CompatibilityGraph {
 
         // ── Singleton stage: keep only individually justifiable nets. ──────
         // The oracle is created on first SAT need; with witnesses attached it
-        // usually never is, and when it is, it carries over to tier 3.
+        // usually never is.
         let mut singleton_oracle: Option<PairOracle<'_>> = None;
         let mut rare_nets: Vec<RareNet> = Vec::with_capacity(analysis.len());
         let mut kept_candidate_idx: Vec<usize> = Vec::with_capacity(analysis.len());
@@ -370,6 +595,9 @@ impl CompatibilityGraph {
                 kept_candidate_idx.push(ci);
             }
         }
+        if let Some(oracle) = &singleton_oracle {
+            stats.solver.merge(&oracle.solver_stats());
+        }
         let n = rare_nets.len();
         stats.kept_rare_nets = n;
         stats.pairs_total = (n * n.saturating_sub(1) / 2) as u64;
@@ -383,9 +611,6 @@ impl CompatibilityGraph {
             CompatStrategy::AllSat => None,
         };
         if n == 0 {
-            if let Some(oracle) = &singleton_oracle {
-                stats.solver.merge(&oracle.solver_stats());
-            }
             return Self {
                 rare_nets,
                 adjacency,
@@ -430,7 +655,7 @@ impl CompatibilityGraph {
         }
         stats.tier1_nanos = tier1_start.elapsed().as_nanos() as u64;
 
-        // ── Tier 2: disjoint cone supports, then bounded enumeration. ──────
+        // ── Tier 2: disjoint cone supports. ────────────────────────────────
         let tier2_start = Instant::now();
         if funnel.structural_pruning && !unresolved.is_empty() {
             let roots: Vec<NetId> = rare_nets.iter().map(|r| r.net).collect();
@@ -448,94 +673,27 @@ impl CompatibilityGraph {
                 }
             });
         }
-        if cone_sim.is_some() && !unresolved.is_empty() {
-            // Enumeration is the funnel's dominant SAT-free cost (up to
-            // `2^ceiling` packed assignments per pair), so it fans out across
-            // pair chunks with one scratch ConeSimulator per worker. Each
-            // verdict depends only on its pair — the merge is order-exact.
-            let verdicts: Vec<Option<bool>> = exec.par_map_with(
-                &unresolved,
-                || ConeSimulator::new(netlist, ENUM_MAX_SUPPORT),
-                |cone_sim, _, &(i, j)| {
-                    cone_sim.decide_if(
-                        &[
-                            (rare_nets[i].net, rare_nets[i].rare_value),
-                            (rare_nets[j].net, rare_nets[j].rare_value),
-                        ],
-                        admits,
-                    )
-                },
-            );
-            let mut verdicts = verdicts.into_iter();
-            unresolved.retain(
-                |&(i, j)| match verdicts.next().expect("one verdict per pair") {
-                    Some(compatible) => {
-                        adjacency[i * n + j] = compatible;
-                        adjacency[j * n + i] = compatible;
-                        stats.pairs_cone_enumerated += 1;
-                        false
-                    }
-                    None => true,
-                },
-            );
-        }
         stats.tier2_nanos = tier2_start.elapsed().as_nanos() as u64;
 
-        // ── Tier 3: SAT on the survivors. ──────────────────────────────────
+        // ── Tier 3: implication sweep, descents, then SAT, per block. ──────
         let tier3_start = Instant::now();
-        stats.pairs_sat_resolved += unresolved.len() as u64;
-        let results: Vec<(usize, usize, bool)> = if unresolved.is_empty() {
-            Vec::new()
-        } else if exec.threads() <= 1 || unresolved.len() < 64 {
-            // Reuse the singleton-stage oracle when one was built: its
-            // encoding work and learned clauses carry over into the pairwise
-            // queries.
-            let oracle = singleton_oracle.get_or_insert_with(|| PairOracle::new(netlist, strategy));
-            unresolved
-                .iter()
-                .map(|&(i, j)| {
-                    let compatible = oracle.is_compatible(&[
-                        (rare_nets[i].net, rare_nets[i].rare_value),
-                        (rare_nets[j].net, rare_nets[j].rare_value),
-                    ]);
-                    (i, j, compatible)
-                })
-                .collect()
-        } else {
-            // One worker's tier-3 output: pair verdicts plus its oracle's
-            // aggregate CDCL counters.
-            type RangeVerdicts = (Vec<(usize, usize, bool)>, SolverStats);
-            let rare_nets = &rare_nets;
-            let unresolved = &unresolved;
-            let per_range: Vec<RangeVerdicts> = exec.par_ranges(unresolved.len(), move |range| {
-                let mut oracle = PairOracle::new(netlist, strategy);
-                let verdicts = range
-                    .map(|idx| {
-                        let (i, j) = unresolved[idx];
-                        let compatible = oracle.is_compatible(&[
-                            (rare_nets[i].net, rare_nets[i].rare_value),
-                            (rare_nets[j].net, rare_nets[j].rare_value),
-                        ]);
-                        (i, j, compatible)
-                    })
-                    .collect::<Vec<_>>();
-                (verdicts, oracle.solver_stats())
-            });
-            let mut flat = Vec::with_capacity(unresolved.len());
-            for (verdicts, solver) in per_range {
-                flat.extend(verdicts);
-                stats.solver.merge(&solver);
+        let blocks = tier3_blocks(&unresolved);
+        let outcomes = exec.par_map(&blocks, |_, range| {
+            resolve_block(netlist, strategy, &rare_nets, &unresolved[range.clone()])
+        });
+        for (range, outcome) in blocks.iter().zip(outcomes) {
+            for (&(i, j), compatible) in unresolved[range.clone()].iter().zip(outcome.verdicts) {
+                adjacency[i * n + j] = compatible;
+                adjacency[j * n + i] = compatible;
             }
-            flat
-        };
-        for (i, j, compatible) in results {
-            adjacency[i * n + j] = compatible;
-            adjacency[j * n + i] = compatible;
+            stats.pairs_implication_refuted += outcome.refuted;
+            stats.pairs_descent_witnessed += outcome.witnessed;
+            stats.pairs_sat_resolved += outcome.sat_resolved;
+            stats.implication_nanos += outcome.implication_nanos;
+            stats.descent_nanos += outcome.descent_nanos;
+            stats.solver.merge(&outcome.solver);
         }
         stats.tier3_nanos = tier3_start.elapsed().as_nanos() as u64;
-        if let Some(oracle) = &singleton_oracle {
-            stats.solver.merge(&oracle.solver_stats());
-        }
 
         Self {
             rare_nets,
@@ -732,6 +890,8 @@ mod tests {
         for (profile, seed) in [
             (BenchmarkProfile::c2670().scaled(20), 7u64),
             (BenchmarkProfile::c5315().scaled(40), 3u64),
+            // Tiers 3a, 3b and 3c each resolve pairs here.
+            (BenchmarkProfile::mips().scaled(64), 11u64),
         ] {
             let nl = profile.generate(seed);
             let analysis = RareNetAnalysis::estimate(&nl, 0.2, 2048, 5);
@@ -779,6 +939,15 @@ mod tests {
                     nl.name()
                 );
                 assert_eq!(graph.rare_nets, reference.rare_nets);
+                if v == 0 && nl.name().starts_with("MIPS") {
+                    let s = graph.stats();
+                    assert!(
+                        s.pairs_implication_refuted > 0
+                            && s.pairs_descent_witnessed > 0
+                            && s.pairs_sat_resolved > 0,
+                        "every tier-3 sub-stage should carry pairs: {s:?}"
+                    );
+                }
             }
         }
     }
@@ -797,6 +966,25 @@ mod tests {
         // Deeper than a fixed support-18 cutoff on small cones
         // (2^19/64 · 25 ≈ 205k word ops, under the SAT estimate).
         assert!(admits(19, 25));
+    }
+
+    #[test]
+    fn tier3_blocks_cover_whole_anchors() {
+        let mut pairs = Vec::new();
+        for i in 0..400 {
+            pairs.extend((i + 1..400).map(|j| (i, j)));
+        }
+        let blocks = tier3_blocks(&pairs);
+        assert!(blocks.len() > 1);
+        assert_eq!(blocks.first().map(|b| b.start), Some(0));
+        assert_eq!(blocks.last().map(|b| b.end), Some(pairs.len()));
+        for w in blocks.windows(2) {
+            assert_eq!(w[0].end, w[1].start);
+            assert!(w[0].len() >= TIER3_BLOCK_PAIRS);
+            // No anchor straddles a block boundary.
+            assert_ne!(pairs[w[0].end - 1].0, pairs[w[1].start].0);
+        }
+        assert!(tier3_blocks(&[]).is_empty());
     }
 
     #[test]
@@ -836,6 +1024,8 @@ mod tests {
             s.pairs_sim_witnessed
                 + s.pairs_structurally_pruned
                 + s.pairs_cone_enumerated
+                + s.pairs_implication_refuted
+                + s.pairs_descent_witnessed
                 + s.pairs_sat_resolved,
             s.pairs_total
         );
@@ -847,8 +1037,10 @@ mod tests {
         );
         assert!(s.kept_rare_nets <= s.candidate_rare_nets);
         assert!((0.0..=1.0).contains(&s.sat_free_pair_fraction()));
-        // Every sim-witnessed pair is a compatible pair.
-        assert!(graph.num_compatible_pairs() as u64 >= s.pairs_sim_witnessed);
+        // Witnessed pairs are compatible, refuted pairs are not.
+        let compatible = graph.num_compatible_pairs() as u64;
+        assert!(compatible >= s.pairs_sim_witnessed + s.pairs_descent_witnessed);
+        assert!(s.pairs_total - compatible >= s.pairs_implication_refuted);
     }
 
     #[test]
@@ -933,6 +1125,8 @@ mod tests {
             s.pairs_sim_witnessed
                 + s.pairs_structurally_pruned
                 + s.pairs_cone_enumerated
+                + s.pairs_implication_refuted
+                + s.pairs_descent_witnessed
                 + s.pairs_sat_resolved,
             s.pairs_total
         );

@@ -38,13 +38,19 @@ pub struct TrainingMetrics {
     pub compat_pairs_witnessed: u64,
     /// Pairs resolved by disjoint cone supports (tier 2, no SAT).
     pub compat_pairs_pruned: u64,
-    /// Pairs resolved by bounded exhaustive cone enumeration (tier 2, no
-    /// SAT). Witnessed + pruned + enumerated + SAT partition the total.
+    /// Pairs resolved by bounded exhaustive cone enumeration. Always 0:
+    /// enumeration runs in the singleton stage only.
     pub compat_pairs_enumerated: u64,
-    /// Pairs that needed a SAT query (tier 3).
+    /// Pairs refuted by unit propagation alone (tier 3a, no search).
+    pub compat_pairs_refuted: u64,
+    /// Pairs witnessed by a descent's model or a simulated variant of it
+    /// (tier 3b, no search).
+    pub compat_pairs_descended: u64,
+    /// Pairs that needed a CDCL query (tier 3c). Witnessed + pruned +
+    /// enumerated + refuted + descended + SAT partition the total.
     pub compat_pairs_sat: u64,
-    /// Aggregate CDCL solver counters across every solver the graph build
-    /// created (singleton oracle and tier-3 workers).
+    /// Aggregate solver counters across every solver the graph build
+    /// created (singleton oracle and one per tier-3 block).
     pub compat_solver: sat::SolverStats,
     /// Exact SAT checks performed inside the environment (non-zero only for
     /// the naive all-SAT formulation).

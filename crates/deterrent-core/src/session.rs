@@ -426,17 +426,21 @@ impl<'a> DeterrentSession<'a> {
             items: artifact.graph().stats().pairs_total,
         };
         if let Some(trace) = trace.as_mut() {
-            // Each pair's tier is a pure function of the pair, so the tier
-            // pair counts are thread-count-independent → attrs. The
-            // aggregate solver counters depend on how tier-3 work was
-            // chunked across workers (each worker owns an incremental solver
-            // whose learned clauses carry across its chunk) → vary.
+            // Each pair's tier is a function of the pair and of its tier-3
+            // block, and the blocks are fixed by the survivor list, so the
+            // tier pair counts are thread- and solver-independent → attrs.
+            // Timings and the aggregate solver counters (CDCL work depends
+            // on the solver configuration) → vary.
             let s = artifact.graph().stats();
             let span = &mut trace.span;
             span.attr_u64("pairs_sim_witnessed", s.pairs_sim_witnessed);
             span.attr_u64("pairs_structurally_pruned", s.pairs_structurally_pruned);
             span.attr_u64("pairs_cone_enumerated", s.pairs_cone_enumerated);
+            span.attr_u64("pairs_implication_refuted", s.pairs_implication_refuted);
+            span.attr_u64("pairs_descent_witnessed", s.pairs_descent_witnessed);
             span.attr_u64("pairs_sat_resolved", s.pairs_sat_resolved);
+            span.vary_u64("implication_ns", s.implication_nanos);
+            span.vary_u64("descent_ns", s.descent_nanos);
             span.vary_u64("sat_decisions", s.solver.decisions);
             span.vary_u64("sat_conflicts", s.solver.conflicts);
             span.vary_u64("sat_propagations", s.solver.propagations);
@@ -657,6 +661,8 @@ impl<'a> DeterrentSession<'a> {
             compat_pairs_witnessed: stats.pairs_sim_witnessed,
             compat_pairs_pruned: stats.pairs_structurally_pruned,
             compat_pairs_enumerated: stats.pairs_cone_enumerated,
+            compat_pairs_refuted: stats.pairs_implication_refuted,
+            compat_pairs_descended: stats.pairs_descent_witnessed,
             compat_pairs_sat: stats.pairs_sat_resolved,
             compat_solver: stats.solver,
             env_sat_checks: trained.env_sat_checks + selected.eval_env_sat_checks,

@@ -10,7 +10,10 @@
 //! * [`Solver`] — a CDCL SAT solver (two-watched literals, first-UIP clause
 //!   learning, VSIDS-style activities, phase saving, Luby or geometric
 //!   restarts, activity-based learned-clause deletion, incremental solving
-//!   under assumptions) configured through [`SolverConfig`].
+//!   under assumptions) configured through [`SolverConfig`], plus two
+//!   search-free primitives: [`Solver::propagate_under`] (unit propagation
+//!   under assumptions) and [`Solver::descend`] (a learning-free,
+//!   fixed-order descent to a model).
 //! * [`dimacs`] — DIMACS CNF reading/writing for interoperability.
 //! * [`CircuitEncoder`] — Tseitin encoding of a [`netlist::Netlist`], either
 //!   whole-design or restricted to a fanin cone.
@@ -47,5 +50,5 @@ mod types;
 
 pub use encoder::CircuitEncoder;
 pub use oracle::{CircuitOracle, ConeOracle};
-pub use solver::{luby, RestartPolicy, SolveResult, Solver, SolverConfig, SolverStats};
+pub use solver::{luby, Descent, RestartPolicy, SolveResult, Solver, SolverConfig, SolverStats};
 pub use types::{Clause, Cnf, Lit, Var};

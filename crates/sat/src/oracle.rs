@@ -10,12 +10,15 @@
 //!   clauses for the not-yet-encoded part of the union of its targets'
 //!   fanin cones, into the same persistent assumption-based solver. Best for
 //!   the offline compatibility phase, where each query touches two small
-//!   cones and most of the design is never mentioned.
+//!   cones and most of the design is never mentioned. It also exposes the
+//!   solver's search-free primitives ([`ConeOracle::propagate_under`],
+//!   [`ConeOracle::descend`]) over an eagerly encoded set of roots
+//!   ([`ConeOracle::encode_roots`]).
 
 use netlist::{GateKind, NetId, Netlist};
 
 use crate::encoder::{encode_nets_into, CircuitEncoder};
-use crate::solver::{SolveResult, Solver, SolverConfig};
+use crate::solver::{Descent, SolveResult, Solver, SolverConfig};
 use crate::types::{Cnf, Lit, Var};
 
 /// Answers "is there an input pattern that drives these nets to these
@@ -92,9 +95,15 @@ impl CircuitOracle {
     }
 
     /// Returns `true` when an input pattern exists that drives every target
-    /// simultaneously (the paper's *compatibility* relation).
+    /// simultaneously (the paper's *compatibility* relation). Same search as
+    /// [`CircuitOracle::justify`], without building the pattern.
     pub fn is_compatible(&mut self, targets: &[(NetId, bool)]) -> bool {
-        self.justify(targets).is_some()
+        self.queries += 1;
+        let assumptions: Vec<Lit> = targets
+            .iter()
+            .map(|&(net, value)| self.encoder.lit(net, value))
+            .collect();
+        self.solver.satisfiable(&assumptions)
     }
 
     /// The underlying encoder (for advanced uses such as adding side
@@ -175,17 +184,21 @@ impl<'a> ConeOracle<'a> {
         self.encoded_gates
     }
 
-    /// Adds the Tseitin clauses for every not-yet-encoded gate in the fanin
-    /// cone of `root`.
-    fn ensure_encoded(&mut self, root: NetId) {
-        if self.net_vars[root.index()] != UNENCODED {
-            // The root has a variable, which by construction means its whole
-            // cone is already encoded.
+    /// Adds the Tseitin clauses for every not-yet-encoded gate in the union
+    /// of the fanin cones of `roots` in one batch, numbering the fresh nets'
+    /// variables in net-id order. Roots encoded earlier are skipped.
+    pub fn encode_roots(&mut self, roots: &[NetId]) {
+        // A root with a variable has, by construction, its whole cone
+        // encoded already. Collect the unencoded part of the cones (DFS
+        // pruned at encoded nets), then assign variables and emit clauses.
+        let mut stack: Vec<NetId> = roots
+            .iter()
+            .copied()
+            .filter(|r| self.net_vars[r.index()] == UNENCODED)
+            .collect();
+        if stack.is_empty() {
             return;
         }
-        // Collect the unencoded part of the cone (DFS pruned at encoded
-        // nets), then assign variables and emit clauses.
-        let mut stack = vec![root];
         let mut fresh_nets: Vec<NetId> = Vec::new();
         while let Some(id) = stack.pop() {
             if self.net_vars[id.index()] != UNENCODED {
@@ -225,32 +238,87 @@ impl<'a> ConeOracle<'a> {
     /// every queried cone default to 0) or `None` when the targets are
     /// jointly unjustifiable.
     pub fn justify(&mut self, targets: &[(NetId, bool)]) -> Option<Vec<bool>> {
-        self.queries += 1;
-        for &(net, _) in targets {
-            self.ensure_encoded(net);
-        }
-        let assumptions: Vec<Lit> = targets
-            .iter()
-            .map(|&(net, value)| Var(self.net_vars[net.index()]).lit(value))
-            .collect();
+        let assumptions = self.query_assumptions(targets);
         match self.solver.solve(&assumptions) {
-            SolveResult::Sat(model) => Some(
-                self.scan_inputs
-                    .iter()
-                    .map(|&si| {
-                        let v = self.net_vars[si.index()];
-                        v != UNENCODED && model[v as usize]
-                    })
-                    .collect(),
-            ),
+            SolveResult::Sat(model) => Some(self.pattern(&model)),
             SolveResult::Unsat => None,
         }
     }
 
+    /// The scan-input pattern of a solver model (from a satisfiable solve
+    /// or [`ConeOracle::descend`]), in scan-input order; inputs outside
+    /// every encoded cone are 0.
+    #[must_use]
+    pub fn pattern(&self, model: &[bool]) -> Vec<bool> {
+        self.scan_inputs
+            .iter()
+            .map(|&si| {
+                let v = self.net_vars[si.index()];
+                v != UNENCODED && model[v as usize]
+            })
+            .collect()
+    }
+
     /// Returns `true` when an input pattern exists that drives every target
-    /// simultaneously (the paper's *compatibility* relation).
+    /// simultaneously (the paper's *compatibility* relation). Same search as
+    /// [`ConeOracle::justify`], without building the pattern.
     pub fn is_compatible(&mut self, targets: &[(NetId, bool)]) -> bool {
-        self.justify(targets).is_some()
+        let assumptions = self.query_assumptions(targets);
+        self.solver.satisfiable(&assumptions)
+    }
+
+    /// Counts a justification query, encodes its targets' cones (one target
+    /// at a time) and returns the targets as assumption literals.
+    fn query_assumptions(&mut self, targets: &[(NetId, bool)]) -> Vec<Lit> {
+        self.queries += 1;
+        for &(net, _) in targets {
+            self.encode_roots(&[net]);
+        }
+        targets
+            .iter()
+            .map(|&(net, value)| self.lit(net, value))
+            .collect()
+    }
+
+    /// Number of solver variables (encoded nets plus Tseitin auxiliaries);
+    /// every literal the oracle hands out has a smaller variable index.
+    #[must_use]
+    pub fn num_vars(&self) -> usize {
+        self.solver.num_vars()
+    }
+
+    /// The solver literal asserting that `net` carries `value` — the index
+    /// into the models of [`ConeOracle::descend`] and the literals of
+    /// [`ConeOracle::propagate_under`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net`'s cone has not been encoded yet.
+    #[must_use]
+    pub fn lit(&self, net: NetId, value: bool) -> Lit {
+        let v = self.net_vars[net.index()];
+        assert!(v < UNENCODED - 1, "net {net} is not encoded");
+        Var(v).lit(value)
+    }
+
+    /// Unit propagation of the encoded clauses under `targets`
+    /// ([`Solver::propagate_under`]): every literal it makes true, or `None`
+    /// when propagation alone proves the targets jointly unjustifiable.
+    /// Targets must be encoded ([`ConeOracle::encode_roots`]).
+    pub fn propagate_under(&mut self, targets: &[(NetId, bool)]) -> Option<Vec<Lit>> {
+        let assumptions: Vec<Lit> = targets.iter().map(|&(n, v)| self.lit(n, v)).collect();
+        self.solver.propagate_under(&assumptions)
+    }
+
+    /// A learning-free, fixed-order descent ([`Solver::descend`]) under
+    /// `targets` that keeps every `pack` target propagation allows. A
+    /// returned model is a complete assignment of the encoded variables
+    /// (index it with [`ConeOracle::lit`]) satisfying every encoded clause.
+    /// Targets and pack must be encoded ([`ConeOracle::encode_roots`]).
+    pub fn descend(&mut self, targets: &[(NetId, bool)], pack: &[(NetId, bool)]) -> Descent {
+        let assumptions: Vec<Lit> = targets.iter().map(|&(n, v)| self.lit(n, v)).collect();
+        let pack: Vec<Lit> = pack.iter().map(|&(n, v)| self.lit(n, v)).collect();
+        self.solver.descend(&assumptions, &pack)
     }
 
     /// Accumulated solver statistics.
@@ -399,6 +467,50 @@ mod tests {
         assert!(oracle.is_compatible(&[(g23, true)]));
         assert!(oracle.encoded_gates() > after_first);
         assert!(oracle.encoded_gates() <= nl.num_logic_gates() as u64);
+    }
+
+    #[test]
+    fn descent_models_and_implications_hold_in_simulation() {
+        let nl = BenchmarkProfile::c5315().scaled(40).generate(5);
+        let analysis = sim::rare::RareNetAnalysis::estimate(&nl, 0.2, 2048, 9);
+        let targets = analysis.targets();
+        let mut oracle = ConeOracle::new(&nl);
+        let roots: Vec<NetId> = targets.iter().map(|&(net, _)| net).collect();
+        oracle.encode_roots(&roots);
+        let sim = Simulator::new(&nl);
+        let mut models = 0;
+        for (k, &target) in targets.iter().enumerate() {
+            let pack: Vec<(NetId, bool)> = targets[k + 1..].to_vec();
+            if let Descent::Model(model) = oracle.descend(&[target], &pack) {
+                // The model's pattern drives every encoded target to the
+                // value the model gives it — the anchor and each kept pack
+                // target included.
+                let values = sim.run(&TestPattern::new(oracle.pattern(&model)));
+                assert_eq!(values.value(target.0), target.1);
+                for &(net, _) in &pack {
+                    let lit = oracle.lit(net, true);
+                    assert_eq!(values.value(net), model[lit.var().index()]);
+                }
+                models += 1;
+            }
+            // Every implied target value holds in a model of the target; a
+            // propagation conflict means the target is unjustifiable.
+            let implied = oracle.propagate_under(&[target]);
+            let justified = oracle.justify(&[target]);
+            assert!(implied.is_some() || justified.is_none());
+            if let (Some(implied), Some(bits)) = (implied, justified) {
+                let values = sim.run(&TestPattern::new(bits));
+                for &(net, _) in &targets {
+                    let lit = oracle.lit(net, true);
+                    if implied.contains(&lit) {
+                        assert!(values.value(net));
+                    } else if implied.contains(&!lit) {
+                        assert!(!values.value(net));
+                    }
+                }
+            }
+        }
+        assert!(models > 0, "no descent reached a model");
     }
 
     #[test]

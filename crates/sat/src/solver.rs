@@ -57,6 +57,19 @@ impl SolveResult {
     }
 }
 
+/// Outcome of a [`Solver::descend`] call.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Descent {
+    /// A complete assignment (indexed by variable) satisfying every clause,
+    /// the assumptions, and every `pack` literal the descent kept.
+    Model(Vec<bool>),
+    /// Unit propagation of the assumptions conflicts: the formula under the
+    /// assumptions is unsatisfiable.
+    Conflict,
+    /// Some variable conflicted under both values; nothing is proven.
+    Stuck,
+}
+
 /// Restart schedule for [`Solver::solve`].
 ///
 /// Each `solve` call starts the schedule from its beginning; the conflict
@@ -858,9 +871,29 @@ impl Solver {
     /// The solver state (learned clauses, activities, saved phases) persists
     /// across calls, making repeated related queries fast.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
+        if self.solve_to_completion(assumptions) {
+            let model = self.values.iter().map(|&v| v == 1).collect();
+            self.backtrack_to(0);
+            SolveResult::Sat(model)
+        } else {
+            SolveResult::Unsat
+        }
+    }
+
+    /// Like [`Solver::solve`], but answers only whether a model exists: the
+    /// search is identical, and no model vector is built.
+    pub fn satisfiable(&mut self, assumptions: &[Lit]) -> bool {
+        let sat = self.solve_to_completion(assumptions);
+        self.backtrack_to(0);
+        sat
+    }
+
+    /// Runs the CDCL search to a verdict. On `true` the complete satisfying
+    /// assignment is still on the trail; the caller backtracks.
+    fn solve_to_completion(&mut self, assumptions: &[Lit]) -> bool {
         self.conflict_assumptions.clear();
         if self.unsat {
-            return SolveResult::Unsat;
+            return false;
         }
         for lit in assumptions {
             self.reserve_vars(lit.var().index() + 1);
@@ -868,20 +901,17 @@ impl Solver {
         self.backtrack_to(0);
         if self.propagate().is_some() {
             self.unsat = true;
-            return SolveResult::Unsat;
+            return false;
         }
 
         let mut episode = 1u64;
         loop {
             let budget = self.config.restarts.budget(episode);
             match self.search(assumptions, budget) {
-                SearchOutcome::Sat(model) => {
-                    self.backtrack_to(0);
-                    return SolveResult::Sat(model);
-                }
+                SearchOutcome::Sat => return true,
                 SearchOutcome::Unsat => {
                     self.backtrack_to(0);
-                    return SolveResult::Unsat;
+                    return false;
                 }
                 SearchOutcome::Restart => {
                     self.stats.restarts += 1;
@@ -890,6 +920,111 @@ impl Solver {
                 }
             }
         }
+    }
+
+    /// Level-0 propagation, then one decision level holding `assumptions`
+    /// and everything unit propagation derives from them. Returns `false`
+    /// on a conflict (the trail is then partial; the caller backtracks).
+    /// No learning, no activity or restart bookkeeping.
+    fn assume_and_propagate(&mut self, assumptions: &[Lit]) -> bool {
+        for lit in assumptions {
+            self.reserve_vars(lit.var().index() + 1);
+        }
+        self.trail_lim.push(self.trail.len());
+        assumptions.iter().all(|&lit| self.enqueue(lit, usize::MAX)) && self.propagate().is_none()
+    }
+
+    /// Backtracks to level 0 and propagates pending level-0 units. Returns
+    /// `false` when the formula itself is unsatisfiable.
+    fn root_propagated(&mut self) -> bool {
+        if self.unsat {
+            return false;
+        }
+        self.backtrack_to(0);
+        if self.propagate().is_some() {
+            self.unsat = true;
+        }
+        !self.unsat
+    }
+
+    /// Unit propagation of the formula under `assumptions`, with no search.
+    ///
+    /// Returns every literal unit propagation makes true (level-0 facts,
+    /// the assumptions and their implications, in trail order), or `None`
+    /// when propagation runs into a conflict — a proof that the formula
+    /// under `assumptions` is unsatisfiable. Learned clauses take part as
+    /// ordinary clauses; none are added, and activities and restart state
+    /// are left alone (saved phases follow the assignments, as for any
+    /// propagation).
+    pub fn propagate_under(&mut self, assumptions: &[Lit]) -> Option<Vec<Lit>> {
+        if !self.root_propagated() {
+            return None;
+        }
+        let implied = self
+            .assume_and_propagate(assumptions)
+            .then(|| self.trail.clone());
+        self.backtrack_to(0);
+        implied
+    }
+
+    /// A learning-free, fixed-order descent towards a model of the formula
+    /// under `assumptions` that also makes as many `pack` literals true as
+    /// it can.
+    ///
+    /// The assumptions are propagated first ([`Descent::Conflict`] if that
+    /// conflicts). Then each `pack` literal, in order, is assigned and
+    /// propagated, and kept unless that conflicts. Finally every remaining
+    /// variable is assigned in index order, `false` first and `true` if
+    /// `false` conflicts; if both conflict the descent gives up
+    /// ([`Descent::Stuck`]). A finished descent is a complete assignment
+    /// without a conflict, so it satisfies every clause.
+    ///
+    /// The descent never learns clauses, never reads activities, saved
+    /// phases or restart state, and changes only the saved phases, so on a
+    /// solver holding only its original clauses its result depends on the
+    /// formula and the arguments alone — not on the [`SolverConfig`].
+    /// Branching assignments count as decisions in [`SolverStats`].
+    pub fn descend(&mut self, assumptions: &[Lit], pack: &[Lit]) -> Descent {
+        if !self.root_propagated() {
+            return Descent::Conflict;
+        }
+        if !self.assume_and_propagate(assumptions) {
+            self.backtrack_to(0);
+            return Descent::Conflict;
+        }
+        for &lit in pack {
+            self.reserve_vars(lit.var().index() + 1);
+            if self.value_lit(lit) == UNASSIGNED {
+                self.stats.decisions += 1;
+                if !self.assume_and_propagate(&[lit]) {
+                    self.backtrack_to(self.decision_level() - 1);
+                }
+            }
+        }
+        let mut complete = true;
+        for v in 0..self.num_vars() {
+            if self.values[v] != UNASSIGNED {
+                continue;
+            }
+            let var = Var(v as u32);
+            self.stats.decisions += 1;
+            if self.assume_and_propagate(&[var.negative()]) {
+                continue;
+            }
+            self.backtrack_to(self.decision_level() - 1);
+            self.stats.decisions += 1;
+            if !self.assume_and_propagate(&[var.positive()]) {
+                complete = false;
+                break;
+            }
+        }
+        let outcome = if complete {
+            Descent::Model(self.values.iter().map(|&v| v == 1).collect())
+        } else {
+            Descent::Stuck
+        };
+        self.backtrack_to(0);
+        outcome
     }
 
     fn search(&mut self, assumptions: &[Lit], conflict_budget: u64) -> SearchOutcome {
@@ -958,23 +1093,15 @@ impl Solver {
                     }
                     continue;
                 }
+                // A complete assignment is a model. Checking the trail first
+                // skips draining the order heap of the variables propagation
+                // assigned (they stay queued, so backtracking need not
+                // re-insert them); the decision sequence is unchanged.
+                if self.trail.len() == self.values.len() {
+                    return SearchOutcome::Sat;
+                }
                 match self.pick_branch_var() {
-                    None => {
-                        // Complete assignment: build the model.
-                        let model = self
-                            .values
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &v)| {
-                                if v == UNASSIGNED {
-                                    self.phase[i]
-                                } else {
-                                    v == 1
-                                }
-                            })
-                            .collect();
-                        return SearchOutcome::Sat(model);
-                    }
+                    None => return SearchOutcome::Sat,
                     Some(var) => {
                         self.stats.decisions += 1;
                         self.trail_lim.push(self.trail.len());
@@ -989,7 +1116,7 @@ impl Solver {
 }
 
 enum SearchOutcome {
-    Sat(Vec<bool>),
+    Sat,
     Unsat,
     Restart,
 }
@@ -1266,6 +1393,60 @@ mod tests {
                     .all(|l| m[l.var().index()] == l.polarity()));
             }
         }
+    }
+
+    #[test]
+    fn descend_is_independent_of_the_solver_configuration() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut outcomes = [0usize; 3];
+        for _ in 0..60 {
+            let num_vars = 16;
+            let mut cnf = Cnf::with_vars(num_vars);
+            for _ in 0..44 {
+                let clause: Vec<Lit> = (0..3)
+                    .map(|_| Var(rng.gen_range(0..num_vars) as u32).lit(rng.gen_bool(0.5)))
+                    .collect();
+                cnf.add_clause(clause);
+            }
+            let lit =
+                |rng: &mut StdRng| Var(rng.gen_range(0..num_vars) as u32).lit(rng.gen_bool(0.5));
+            let assumptions = [lit(&mut rng)];
+            let pack: Vec<Lit> = (0..4).map(|_| lit(&mut rng)).collect();
+            let mut modern = Solver::from_cnf_with_config(&cnf, SolverConfig::default());
+            let mut legacy = Solver::from_cnf_with_config(&cnf, SolverConfig::legacy());
+            let result = modern.descend(&assumptions, &pack);
+            assert_eq!(result, legacy.descend(&assumptions, &pack));
+            assert_eq!(modern.stats(), legacy.stats());
+            match &result {
+                Descent::Model(model) => {
+                    assert_eq!(cnf.eval(model), Some(true));
+                    outcomes[0] += 1;
+                }
+                Descent::Conflict => outcomes[1] += 1,
+                Descent::Stuck => outcomes[2] += 1,
+            }
+            // Learning-free: a descent leaves no learned clause behind.
+            assert_eq!(modern.live_learnts(), 0);
+        }
+        assert!(outcomes[0] > 0, "no descent found a model: {outcomes:?}");
+    }
+
+    #[test]
+    fn propagate_under_reports_implications_and_conflicts() {
+        // (¬1 ∨ 2) ∧ (¬2 ∨ 3) ∧ (¬3 ∨ ¬4): assuming 1 implies 2, 3 and ¬4.
+        let mut s = Solver::new();
+        s.add_clause([lit(-1), lit(2)]);
+        s.add_clause([lit(-2), lit(3)]);
+        s.add_clause([lit(-3), lit(-4)]);
+        let implied = s.propagate_under(&[lit(1)]).expect("no conflict");
+        for l in [lit(1), lit(2), lit(3), lit(-4)] {
+            assert!(implied.contains(&l), "{l} not implied");
+        }
+        assert_eq!(s.propagate_under(&[lit(1), lit(4)]), None);
+        // Nothing persists: the solver still finds models either way.
+        assert!(s.solve(&[lit(4)]).is_sat());
     }
 
     #[test]

@@ -200,6 +200,35 @@ impl<'a> Simulator<'a> {
             }
             words[si.index()] = w;
         }
+        self.eval_packed_gates(words);
+    }
+
+    /// Simulates a batch of 64 patterns given input-major: `inputs[i]` is the
+    /// packed word of scan input `i` (in [`netlist::Netlist::scan_inputs`]
+    /// order), so pattern `p` assigns input `i` the bit `(inputs[i] >> p) &
+    /// 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` does not hold one word per scan input.
+    pub fn run_words_into(&self, inputs: &[u64], out: &mut PackedValues) {
+        assert_eq!(
+            inputs.len(),
+            self.scan_inputs.len(),
+            "one packed word per scan input"
+        );
+        out.words.clear();
+        out.words.resize(self.netlist.num_gates(), 0);
+        out.batch = 64;
+        for (&si, &w) in self.scan_inputs.iter().zip(inputs) {
+            out.words[si.index()] = w;
+        }
+        self.eval_packed_gates(&mut out.words);
+    }
+
+    /// Evaluates every combinational gate in topological order over packed
+    /// words whose scan-input entries are already set.
+    fn eval_packed_gates(&self, words: &mut [u64]) {
         let mut fanin_buf: Vec<u64> = Vec::with_capacity(8);
         for &id in self.netlist.topo_order() {
             let gate = self.netlist.gate(id);
@@ -236,18 +265,7 @@ impl<'a> Simulator<'a> {
         for &si in &self.scan_inputs {
             words[si.index()] = rng.next_u64();
         }
-        let mut fanin_buf: Vec<u64> = Vec::with_capacity(8);
-        for &id in self.netlist.topo_order() {
-            let gate = self.netlist.gate(id);
-            match gate.kind {
-                GateKind::Input | GateKind::Dff => {}
-                kind => {
-                    fanin_buf.clear();
-                    fanin_buf.extend(gate.fanin.iter().map(|&f| words[f.index()]));
-                    words[id.index()] = kind.eval_packed(&fanin_buf);
-                }
-            }
-        }
+        self.eval_packed_gates(words);
     }
 
     /// Simulates an arbitrary number of patterns, invoking `visit` with the
@@ -411,6 +429,26 @@ mod tests {
             assert_eq!(scratch.words(), fresh.words());
             assert_eq!(scratch.batch_len(), fresh.batch_len());
         }
+    }
+
+    #[test]
+    fn run_words_into_matches_run_batch_on_the_same_patterns() {
+        let nl = samples::majority5();
+        let sim = Simulator::new(&nl);
+        let mut rng = StdRng::seed_from_u64(9);
+        let patterns = TestPattern::random_batch(5, 64, &mut rng);
+        let words: Vec<u64> = (0..5)
+            .map(|i| {
+                patterns
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (p, pat)| w | u64::from(pat.bit(i)) << p)
+            })
+            .collect();
+        let mut packed = PackedValues::scratch();
+        sim.run_words_into(&words, &mut packed);
+        assert_eq!(packed.words(), sim.run_batch(&patterns).words());
+        assert_eq!(packed.batch_len(), 64);
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! The raw-speed SAT core (Luby restarts, learned-clause deletion) is a
 //! pure performance layer: every verdict it returns must match the legacy
 //! pre-deletion solver exactly. This suite builds the compatibility graph
-//! on a scaled c2670, on a planted-Trojan variant of it, and on a scaled
-//! sequential s35932 (where tier 3 carries about half the pairs), with the
-//! modern and the legacy solver, at one and at four worker threads, and
-//! demands:
+//! on a scaled c2670, on a planted-Trojan variant of it, on a scaled
+//! sequential s35932 (where tier 3 carries about half the pairs), and on a
+//! scaled MIPS (where the implication sweep, the descents and CDCL each
+//! resolve tier-3 pairs), with the modern and the legacy solver, at one and
+//! at four worker threads, and demands:
 //!
 //! - bit-identical adjacency matrices (and identical kept rare-net lists)
 //!   across every solver × thread combination;
 //! - identical tier verdict counts (sim-witnessed / structurally pruned /
-//!   cone-enumerated / SAT-resolved pair totals and the singleton split) —
+//!   cone-enumerated / implication-refuted / descent-witnessed /
+//!   SAT-resolved pair totals and the singleton split) —
 //!   the funnel's routing is solver-independent; only timings and raw CDCL
 //!   work counters may differ between configurations.
 
@@ -45,7 +47,7 @@ fn build(
 
 /// The solver-independent slice of [`deterrent_repro::deterrent_core::CompatStats`]:
 /// everything except timings and CDCL work counters.
-fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 8] {
+fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 10] {
     let s = g.stats();
     [
         s.candidate_rare_nets as u64,
@@ -55,6 +57,8 @@ fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 8] {
         s.pairs_sim_witnessed,
         s.pairs_structurally_pruned,
         s.pairs_cone_enumerated,
+        s.pairs_implication_refuted,
+        s.pairs_descent_witnessed,
         s.pairs_sat_resolved,
     ]
 }
@@ -66,6 +70,15 @@ fn assert_equivalent_on(netlist: &Netlist, label: &str) {
         reference.stats().pairs_total > 0,
         "{label}: workload too small to be meaningful"
     );
+    if label.contains("MIPS") {
+        let s = reference.stats();
+        assert!(
+            s.pairs_implication_refuted > 0
+                && s.pairs_descent_witnessed > 0
+                && s.pairs_sat_resolved > 0,
+            "{label}: every tier-3 sub-stage should carry pairs: {s:?}"
+        );
+    }
 
     for threads in [1usize, 4] {
         for (solver_name, solver) in [
@@ -97,6 +110,7 @@ fn clean_netlist_adjacency_is_solver_and_thread_independent() {
     for (profile, label) in [
         (BenchmarkProfile::c2670().scaled(20), "clean c2670@20"),
         (BenchmarkProfile::s35932().scaled(20), "clean s35932@20"),
+        (BenchmarkProfile::mips().scaled(64), "clean MIPS@64"),
     ] {
         assert_equivalent_on(&profile.generate(100), label);
     }

@@ -15,6 +15,9 @@
 //! - after UNSAT under assumptions, each solver's reported unsat-assumption
 //!   subset draws only from the assumption set and is itself UNSAT in
 //!   conjunction with the formula (verified by brute force);
+//! - the search-free primitives are sound: every `propagate_under` conflict
+//!   is UNSAT by brute force, every literal it implies holds in every model,
+//!   and every `descend` model satisfies all original clauses;
 //! - a failing case dumps a `dimacs::write_repro` file to the temp dir and
 //!   names it in the failure message, so the instance replays offline.
 //!
@@ -24,7 +27,7 @@
 use std::fmt::Write as _;
 
 use deterrent_repro::sat::{
-    dimacs, Cnf, Lit, RestartPolicy, SolveResult, Solver, SolverConfig, Var,
+    dimacs, Cnf, Descent, Lit, RestartPolicy, SolveResult, Solver, SolverConfig, Var,
 };
 use proptest::prelude::*;
 
@@ -111,6 +114,60 @@ fn check_solver(
     Ok(())
 }
 
+/// Cross-checks `propagate_under` and `descend` on a live solver against
+/// brute force. Returns an error description on divergence.
+fn check_search_free(
+    solver: &mut Solver,
+    cnf: &Cnf,
+    assumptions: &[Lit],
+    pack: &[Lit],
+) -> Result<(), String> {
+    // Every model of the formula under the assumptions, by enumeration.
+    let n = cnf.num_vars();
+    let models: Vec<Vec<bool>> = (0u32..1 << n)
+        .map(|mask| (0..n).map(|v| mask >> v & 1 == 1).collect::<Vec<bool>>())
+        .filter(|a| {
+            assumptions
+                .iter()
+                .all(|l| a[l.var().index()] == l.polarity())
+                && cnf.eval(a) == Some(true)
+        })
+        .collect();
+    let satisfiable = !models.is_empty();
+    match solver.propagate_under(assumptions) {
+        None if satisfiable => {
+            return Err("propagation conflict, but brute force finds a model".into());
+        }
+        None => {}
+        Some(implied) => {
+            if let Some(lit) = implied
+                .iter()
+                .find(|l| models.iter().any(|m| m[l.var().index()] != l.polarity()))
+            {
+                return Err(format!("implied literal {lit} fails in some model"));
+            }
+        }
+    }
+    match solver.descend(assumptions, pack) {
+        Descent::Model(model) => {
+            if cnf.eval(&model[..cnf.num_vars()]) != Some(true) {
+                return Err("descent model does not satisfy the formula".into());
+            }
+            if let Some(l) = assumptions
+                .iter()
+                .find(|l| model[l.var().index()] != l.polarity())
+            {
+                return Err(format!("descent model violates assumption {l}"));
+            }
+        }
+        Descent::Conflict if satisfiable => {
+            return Err("descent conflict, but brute force finds a model".into());
+        }
+        Descent::Conflict | Descent::Stuck => {}
+    }
+    Ok(())
+}
+
 /// Clause spec → concrete clause over `num_vars` variables.
 fn build_clause(spec: &[(prop::sample::Index, bool)], num_vars: usize) -> Vec<Lit> {
     spec.iter()
@@ -190,6 +247,59 @@ proptest! {
             verdicts.windows(2).all(|w| w[0] == w[1]),
             "configurations disagree: {verdicts:?}"
         );
+    }
+
+    /// The search-free primitives against brute force: a unit-propagation
+    /// conflict under assumptions is a refutation, every literal propagation
+    /// implies holds in every model, and a descent's model satisfies every
+    /// original clause and every assumption. Checked on a fresh solver and
+    /// again after CDCL solves have added learned clauses. Random 3-SAT
+    /// (rather than the mixed clause widths above, which unit propagation
+    /// mostly decides alone) makes descents get stuck as well as succeed.
+    #[test]
+    fn search_free_primitives_are_sound(
+        num_vars in 3usize..=10,
+        clause_specs in prop::collection::vec(
+            prop::collection::vec((any::<prop::sample::Index>(), any::<bool>()), 3..4),
+            1..46,
+        ),
+        assumption_specs in prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<bool>()),
+            0..4,
+        ),
+        pack_specs in prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<bool>()),
+            0..6,
+        ),
+    ) {
+        let mut cnf = Cnf::with_vars(num_vars);
+        for spec in &clause_specs {
+            cnf.add_clause(build_clause(spec, num_vars));
+        }
+        let lits = |specs: &[(prop::sample::Index, bool)]| -> Vec<Lit> {
+            specs
+                .iter()
+                .map(|(idx, pol)| Var(idx.index(num_vars) as u32).lit(*pol))
+                .collect()
+        };
+        let assumptions = lits(&assumption_specs);
+        let pack = lits(&pack_specs);
+        for (name, config) in [
+            ("modern", SolverConfig::default()),
+            ("stress", stress_config()),
+            ("legacy", SolverConfig::legacy()),
+        ] {
+            let mut solver = Solver::from_cnf_with_config(&cnf, config);
+            solver.reserve_vars(num_vars);
+            for round in ["fresh", "after CDCL"] {
+                if let Err(e) = check_search_free(&mut solver, &cnf, &assumptions, &pack) {
+                    let repro = dump_repro(&cnf, &assumptions, &format!("{name}-search-free"));
+                    prop_assert!(false, "{name} ({round}): {e} ({repro})");
+                }
+                let _ = solver.solve(&assumptions);
+                let _ = solver.solve(&pack);
+            }
+        }
     }
 
     /// DIMACS round-trip: parse(write(cnf)) reproduces the formula, and the
