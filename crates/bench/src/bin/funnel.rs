@@ -365,6 +365,12 @@ fn main() {
         Duration::from_nanos(fs.descent_nanos),
         fs.pairs_sat_resolved,
     );
+    println!(
+        "tier3 blocks: {}, slowest block: {:.1} ms of {:.1} ms",
+        fs.tier3_blocks,
+        fs.tier3_block_max_nanos as f64 / 1e6,
+        fs.tier3_nanos as f64 / 1e6,
+    );
 
     let pairwise_reduction = if fs.pairwise_sat_queries() == 0 {
         f64::INFINITY

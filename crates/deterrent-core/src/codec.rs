@@ -108,8 +108,9 @@ const MAGIC: [u8; 8] = *b"DTRNTC\x01\n";
 /// threshold payloads; version 4 extended `CompatStats` with SAT solver
 /// counters and self-tuned enumeration-budget fields; version 5 dropped the
 /// enumeration-budget fields again (the cost model is fixed); version 6
-/// added the tier-3a/3b pair counts and nanoseconds to `CompatStats`.
-pub(crate) const FORMAT_VERSION: u32 = 6;
+/// added the tier-3a/3b pair counts and nanoseconds to `CompatStats`;
+/// version 7 added its tier-3 block count and slowest-block nanoseconds.
+pub(crate) const FORMAT_VERSION: u32 = 7;
 
 const HEADER_LEN: usize = 40;
 
@@ -643,6 +644,8 @@ fn w_stats(w: &mut Writer, stats: &CompatStats) {
     w.u64(stats.tier3_nanos);
     w.u64(stats.implication_nanos);
     w.u64(stats.descent_nanos);
+    w.u64(stats.tier3_blocks);
+    w.u64(stats.tier3_block_max_nanos);
     w.u64(stats.solver.conflicts);
     w.u64(stats.solver.decisions);
     w.u64(stats.solver.propagations);
@@ -672,6 +675,8 @@ fn r_stats(r: &mut Reader<'_>) -> Decode<CompatStats> {
         tier3_nanos: r.u64()?,
         implication_nanos: r.u64()?,
         descent_nanos: r.u64()?,
+        tier3_blocks: r.u64()?,
+        tier3_block_max_nanos: r.u64()?,
         solver: sat::SolverStats {
             conflicts: r.u64()?,
             decisions: r.u64()?,
@@ -1879,6 +1884,8 @@ mod tests {
             implication_nanos: 1234,
             descent_nanos: 5678,
             tier3_nanos: 9999,
+            tier3_blocks: 2,
+            tier3_block_max_nanos: 7777,
             ..CompatStats::default()
         };
         let graph =
@@ -1888,33 +1895,46 @@ mod tests {
         assert_eq!(decoded.graph().stats(), &stats);
     }
 
-    #[test]
-    fn v5_graph_files_are_version_mismatches() {
-        let root = temp_root("v5-graph");
+    /// Writes a graph file stamped with format `version` and asserts the
+    /// store classifies it as version skew instead of decoding it.
+    fn assert_graph_version_rejected(version: u32) {
+        let root = temp_root(&format!("v{version}-graph"));
         let disk = DiskStore::with_faults(root.clone(), crate::CachePolicy::default(), None);
-        // A format-version-5 graph file: its `CompatStats` lack the tier-3a/3b
-        // fields, so it must read as version skew, never be decoded.
         let key = 0x55u64;
-        let payload = b"v5 graph payload";
+        let payload = format!("v{version} graph payload").into_bytes();
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&5u32.to_le_bytes());
+        bytes.extend_from_slice(&version.to_le_bytes());
         bytes.extend_from_slice(&DiskStage::Graph.tag().to_le_bytes());
         bytes.extend_from_slice(&key.to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
         let dir = root.join(DiskStage::Graph.dir());
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(format!("{key:016x}.{FILE_EXT}")), &bytes).unwrap();
-        assert_eq!(FORMAT_VERSION, 6);
         match disk.load(DiskStage::Graph, key) {
             DiskLookup::Failed(err) => {
                 assert_eq!(err.kind, crate::cache::CacheErrorKind::VersionMismatch);
             }
-            _ => panic!("a v5 graph file must classify as a failed lookup"),
+            _ => panic!("a v{version} graph file must classify as a failed lookup"),
         }
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn v5_graph_files_are_version_mismatches() {
+        // A format-version-5 graph file: its `CompatStats` lack the tier-3a/3b
+        // fields, so it must read as version skew, never be decoded.
+        assert_eq!(FORMAT_VERSION, 7);
+        assert_graph_version_rejected(5);
+    }
+
+    #[test]
+    fn v6_graph_files_are_version_mismatches() {
+        // A format-version-6 graph file: its `CompatStats` lack the tier-3
+        // block count and slowest-block time.
+        assert_graph_version_rejected(6);
     }
 
     #[test]

@@ -16,11 +16,13 @@
 //!    independently and the partial patterns merged, so the pair is
 //!    compatible exactly when both nets are individually justifiable — which
 //!    the singleton stage already established.
-//! 3. **Tier 3 — proofs on a cone-restricted oracle.** The survivors are cut
-//!    into fixed blocks of whole anchors (pairs `(i, j)` grouped by `i`);
-//!    each block gets a fresh [`sat::ConeOracle`] holding the Tseitin clauses
-//!    of its rare nets' fanin cones and nothing else, and runs three
-//!    sub-stages in order:
+//! 3. **Tier 3 — proofs on a cone-restricted oracle.** The survivors are
+//!    dealt into `ceil(pairs / 32,768)` blocks of whole anchors (pairs
+//!    `(i, j)` grouped by `i`), anchor `i` to block `i mod count`, so every
+//!    block gets a similar mix of easy and hard anchors and the blocks finish
+//!    together. Each block gets a fresh [`sat::ConeOracle`] holding the
+//!    Tseitin clauses of its rare nets' fanin cones and nothing else, and
+//!    runs three sub-stages in order:
 //!    - **3a — implication sweep** (static implications in the style of
 //!      SOCRATES, Schulz, Trischler and Sarfert, 1988): one unit propagation
 //!      per rare net of the block; the pair is incompatible when either
@@ -28,10 +30,11 @@
 //!    - **3b — descents** (model reuse in the style of FRAIGs, Mishchenko et
 //!      al., 2005): [`sat::ConeOracle::descend`] from each anchor, packed with
 //!      its unresolved partners, repeated while it witnesses a new partner.
-//!      Each returned model's pattern is packed-simulated together with 63
-//!      seeded variants that flip each scan input with probability 1/8;
-//!      every block pair one of those 64 patterns drives to rare values on
-//!      both sides is compatible.
+//!      Each returned model's pattern is simulated together with 1,023
+//!      seeded variants that flip each of the cone's scan inputs with
+//!      probability 1/8, in one multi-word pass over the block's fanin cones
+//!      ([`sim::ConeWords`]); every block pair one of those 1,024 patterns
+//!      drives to rare values on both sides is compatible.
 //!    - **3c — CDCL**: one solver query per pair left, on the same oracle.
 //!
 //! Every verdict is exact. A unit-propagation conflict is a refutation:
@@ -51,7 +54,6 @@
 //! cone enumeration ([`sim::ConeSimulator`]) when a cost model judges that
 //! cheaper than SAT, or by a SAT query.
 
-use std::ops::Range;
 use std::time::Instant;
 
 use exec::{split_seed, Exec};
@@ -60,7 +62,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use sat::{CircuitOracle, ConeOracle, Descent, Lit, SolverConfig, SolverStats};
 use sim::rare::{RareNet, RareNetAnalysis};
-use sim::{ConeSimulator, PackedValues, Simulator, TestPattern, WitnessBank};
+use sim::{ConeSimulator, ConeWords, TestPattern, WitnessBank};
 
 /// Below this many pairs the tier-1 witness sweep stays on the calling
 /// thread: each check is a handful of word ANDs, so spawning workers would
@@ -197,7 +199,7 @@ pub struct CompatStats {
     /// Pairs resolved by tier 3a: unit propagation of one net's rare value
     /// forces the other's non-rare value (incompatible, no search).
     pub pairs_implication_refuted: u64,
-    /// Pairs resolved by tier 3b: a descent's model, or one of 63 random
+    /// Pairs resolved by tier 3b: a descent's model, or one of 1,023 random
     /// variants of its pattern, drives both nets to their rare values
     /// (compatible, no search).
     pub pairs_descent_witnessed: u64,
@@ -217,6 +219,12 @@ pub struct CompatStats {
     /// Worker nanoseconds spent in tier 3b (descents), summed over tier-3
     /// blocks.
     pub descent_nanos: u64,
+    /// Tier-3 blocks the survivors were dealt into — a function of the
+    /// survivor count alone.
+    pub tier3_blocks: u64,
+    /// Wall nanoseconds of the slowest tier-3 block: tier 3's critical path
+    /// when every block has a worker.
+    pub tier3_block_max_nanos: u64,
     /// Aggregate solver statistics over every solver the build created
     /// (singleton oracle + one oracle per tier-3 block), including the
     /// decisions and propagations of 3a and 3b. The blocks do not depend
@@ -291,28 +299,37 @@ impl<'a> PairOracle<'a> {
     }
 }
 
-/// A tier-3 block closes at the first anchor boundary at or past this many
-/// pairs. The blocks are a function of the survivor list alone — never of
-/// the thread count — so every block proves the same pairs the same way at
-/// any parallelism. Larger blocks let one descent's model witness more
-/// pairs; smaller ones spread tier 3 over more workers.
+/// Tier 3 runs in `ceil(pairs / TIER3_BLOCK_PAIRS)` blocks. The blocks are a
+/// function of the survivor list alone — never of the thread count — so
+/// every block proves the same pairs the same way at any parallelism. Larger
+/// blocks let one descent's model witness more pairs; more blocks spread
+/// tier 3 over more workers.
 const TIER3_BLOCK_PAIRS: usize = 32_768;
 
-/// Splits the tier-3 survivors (sorted by anchor `i`, then partner `j`) into
-/// blocks of whole anchors, each at least [`TIER3_BLOCK_PAIRS`] pairs long
-/// except the last.
-fn tier3_blocks(pairs: &[(usize, usize)]) -> Vec<Range<usize>> {
-    let mut blocks = Vec::new();
-    let mut start = 0;
-    for k in 1..=pairs.len() {
-        let anchor_ends = k == pairs.len() || pairs[k].0 != pairs[k - 1].0;
-        if anchor_ends && (k - start >= TIER3_BLOCK_PAIRS || k == pairs.len()) {
-            blocks.push(start..k);
-            start = k;
-        }
+/// Deals the tier-3 survivors (sorted by anchor `i`, then partner `j`) into
+/// `ceil(len / TIER3_BLOCK_PAIRS)` blocks of whole anchors: anchor `i` goes
+/// to block `i mod count`. Interleaving gives every block a similar mix of
+/// early anchors, which have many partners and often hard ones, and late
+/// anchors, so the blocks finish at similar times. Each block keeps the
+/// survivors' order.
+fn tier3_blocks(pairs: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
+    let count = pairs.len().div_ceil(TIER3_BLOCK_PAIRS);
+    // Sized exactly: the blocks hold a copy of every survivor while tier 3
+    // runs, so growth slack would add to the build's peak memory.
+    let mut sizes = vec![0; count];
+    for &(i, _) in pairs {
+        sizes[i % count] += 1;
+    }
+    let mut blocks: Vec<Vec<(usize, usize)>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for &(i, j) in pairs {
+        blocks[i % count].push((i, j));
     }
     blocks
 }
+
+/// Packed words per descent model in 3b: its own pattern plus 1,023
+/// variants, simulated in one pass over the block's fanin cones.
+const DESCENT_WORDS: usize = 16;
 
 /// Tier-3 verdicts of one block and the work spent reaching them.
 #[derive(Default)]
@@ -324,6 +341,8 @@ struct BlockOutcome {
     sat_resolved: u64,
     implication_nanos: u64,
     descent_nanos: u64,
+    /// Wall time of the whole block.
+    nanos: u64,
     solver: SolverStats,
 }
 
@@ -336,8 +355,9 @@ struct BlockOutcome {
 ///   other's non-rare value.
 /// - **3b, descents:** each anchor descends with its unresolved partners as
 ///   the pack, again while that witnesses a new partner. The model's pattern
-///   and 63 seeded random variants of it are simulated at once; a block
-///   pair that one of them drives rare on both sides is compatible.
+///   and 1,023 seeded random variants of it are simulated at once over the
+///   block's fanin cones; a block pair that one of them drives rare on both
+///   sides is compatible.
 /// - **3c:** one CDCL query per leftover pair, on the same oracle.
 fn resolve_block(
     netlist: &Netlist,
@@ -345,6 +365,7 @@ fn resolve_block(
     rare_nets: &[RareNet],
     pairs: &[(usize, usize)],
 ) -> BlockOutcome {
+    let block_start = Instant::now();
     let target = |k: usize| (rare_nets[k].net, rare_nets[k].rare_value);
     let mut verdicts: Vec<Option<bool>> = vec![None; pairs.len()];
     let mut out = BlockOutcome::default();
@@ -396,12 +417,15 @@ fn resolve_block(
         out.implication_nanos = start.elapsed().as_nanos() as u64;
 
         let start = Instant::now();
-        // Bit `p` of `rare_patterns[s]`: simulated pattern `p` drives member
-        // `s` to its rare value.
-        let mut rare_patterns = vec![0u64; m];
-        let sim = Simulator::new(netlist);
-        let mut packed = PackedValues::scratch();
-        let mut input_words: Vec<u64> = Vec::new();
+        let w = DESCENT_WORDS;
+        let mut cone_words = ConeWords::new(netlist, &roots, w);
+        let mut input_words = vec![0u64; cone_words.inputs().len() * w];
+        // Bit `p` of word `rare_words[s * w + q]`: pattern `64 q + p` drives
+        // member `s` to its rare value.
+        let mut rare_words = vec![0u64; m * w];
+        let mut open: Vec<usize> = (0..pairs.len())
+            .filter(|&k| verdicts[k].is_none())
+            .collect();
         let mut anchor_start = 0;
         while anchor_start < pairs.len() {
             let anchor = pairs[anchor_start].0;
@@ -424,33 +448,45 @@ fn resolve_block(
                 let Descent::Model(model) = cone.descend(&[target(anchor)], &pack) else {
                     break;
                 };
-                // Pattern 0 of the batch is the model's own; patterns 1–63
-                // flip each of its scan inputs with probability 1/8.
+                // Pattern 0 is the model's own; the other 1,023 flip each
+                // of the cone's scan inputs with probability 1/8.
                 let mut rng = StdRng::seed_from_u64(split_seed(anchor as u64, round));
                 round += 1;
-                input_words.clear();
-                input_words.extend(cone.pattern(&model).into_iter().map(|bit| {
-                    let flips = rng.next_u64() & rng.next_u64() & rng.next_u64() & !1;
-                    if bit {
-                        !flips
-                    } else {
-                        flips
+                let pattern = cone.pattern(&model);
+                for (&pos, words) in cone_words
+                    .inputs()
+                    .iter()
+                    .zip(input_words.chunks_exact_mut(w))
+                {
+                    for (q, word) in words.iter_mut().enumerate() {
+                        let mut flips = rng.next_u64() & rng.next_u64() & rng.next_u64();
+                        if q == 0 {
+                            flips &= !1;
+                        }
+                        *word = if pattern[pos] { !flips } else { flips };
                     }
-                }));
-                sim.run_words_into(&input_words, &mut packed);
-                for (rare, &k) in rare_patterns.iter_mut().zip(&members) {
-                    let word = packed.word(rare_nets[k].net);
-                    *rare = if rare_nets[k].rare_value { word } else { !word };
+                }
+                cone_words.run(&input_words);
+                for (rare, &k) in rare_words.chunks_exact_mut(w).zip(&members) {
+                    let flip = if rare_nets[k].rare_value { 0 } else { u64::MAX };
+                    for (r, &word) in rare.iter_mut().zip(cone_words.net(rare_nets[k].net)) {
+                        *r = word ^ flip;
+                    }
                 }
                 let mut new_partner = false;
-                for (k, &(i, j)) in pairs.iter().enumerate() {
-                    if verdicts[k].is_none() && rare_patterns[slot[i]] & rare_patterns[slot[j]] != 0
-                    {
+                open.retain(|&k| {
+                    let (a, b) = (slot[pairs[k].0] * w, slot[pairs[k].1] * w);
+                    let hit = rare_words[a..a + w]
+                        .iter()
+                        .zip(&rare_words[b..b + w])
+                        .any(|(&x, &y)| x & y != 0);
+                    if hit {
                         verdicts[k] = Some(true);
                         out.witnessed += 1;
                         new_partner |= run.contains(&k);
                     }
-                }
+                    !hit
+                });
                 if !new_partner {
                     break;
                 }
@@ -469,6 +505,7 @@ fn resolve_block(
         })
         .collect();
     out.solver = oracle.solver_stats();
+    out.nanos = block_start.elapsed().as_nanos() as u64;
     out
 }
 
@@ -678,11 +715,12 @@ impl CompatibilityGraph {
         // ── Tier 3: implication sweep, descents, then SAT, per block. ──────
         let tier3_start = Instant::now();
         let blocks = tier3_blocks(&unresolved);
-        let outcomes = exec.par_map(&blocks, |_, range| {
-            resolve_block(netlist, strategy, &rare_nets, &unresolved[range.clone()])
+        stats.tier3_blocks = blocks.len() as u64;
+        let outcomes = exec.par_map(&blocks, |_, block| {
+            resolve_block(netlist, strategy, &rare_nets, block)
         });
-        for (range, outcome) in blocks.iter().zip(outcomes) {
-            for (&(i, j), compatible) in unresolved[range.clone()].iter().zip(outcome.verdicts) {
+        for (block, outcome) in blocks.iter().zip(outcomes) {
+            for (&(i, j), compatible) in block.iter().zip(outcome.verdicts) {
                 adjacency[i * n + j] = compatible;
                 adjacency[j * n + i] = compatible;
             }
@@ -691,6 +729,7 @@ impl CompatibilityGraph {
             stats.pairs_sat_resolved += outcome.sat_resolved;
             stats.implication_nanos += outcome.implication_nanos;
             stats.descent_nanos += outcome.descent_nanos;
+            stats.tier3_block_max_nanos = stats.tier3_block_max_nanos.max(outcome.nanos);
             stats.solver.merge(&outcome.solver);
         }
         stats.tier3_nanos = tier3_start.elapsed().as_nanos() as u64;
@@ -974,16 +1013,27 @@ mod tests {
         for i in 0..400 {
             pairs.extend((i + 1..400).map(|j| (i, j)));
         }
+        // Survivors as tier 3 sees them: sorted, with gaps in the anchors.
+        pairs.retain(|&(i, j)| (i + j) % 7 != 0 && i % 5 != 3);
         let blocks = tier3_blocks(&pairs);
-        assert!(blocks.len() > 1);
-        assert_eq!(blocks.first().map(|b| b.start), Some(0));
-        assert_eq!(blocks.last().map(|b| b.end), Some(pairs.len()));
-        for w in blocks.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-            assert!(w[0].len() >= TIER3_BLOCK_PAIRS);
-            // No anchor straddles a block boundary.
-            assert_ne!(pairs[w[0].end - 1].0, pairs[w[1].start].0);
+        let count = pairs.len().div_ceil(TIER3_BLOCK_PAIRS);
+        assert!(count > 1);
+        assert_eq!(blocks.len(), count);
+        let mut home = vec![None; 400];
+        for (b, block) in blocks.iter().enumerate() {
+            for &(i, _) in block {
+                // Anchors are dealt by residue…
+                assert_eq!(i % count, b);
+                // …so no anchor is split across blocks.
+                assert_eq!(*home[i].get_or_insert(b), b);
+            }
+            // Each block keeps the survivors' order.
+            assert!(block.windows(2).all(|w| w[0] < w[1]));
         }
+        // Every pair lands in exactly one block.
+        let mut dealt: Vec<(usize, usize)> = blocks.concat();
+        dealt.sort_unstable();
+        assert_eq!(dealt, pairs);
         assert!(tier3_blocks(&[]).is_empty());
     }
 

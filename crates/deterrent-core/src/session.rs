@@ -428,7 +428,8 @@ impl<'a> DeterrentSession<'a> {
         if let Some(trace) = trace.as_mut() {
             // Each pair's tier is a function of the pair and of its tier-3
             // block, and the blocks are fixed by the survivor list, so the
-            // tier pair counts are thread- and solver-independent → attrs.
+            // tier pair counts and the block count are thread- and
+            // solver-independent → attrs.
             // Timings and the aggregate solver counters (CDCL work depends
             // on the solver configuration) → vary.
             let s = artifact.graph().stats();
@@ -439,8 +440,10 @@ impl<'a> DeterrentSession<'a> {
             span.attr_u64("pairs_implication_refuted", s.pairs_implication_refuted);
             span.attr_u64("pairs_descent_witnessed", s.pairs_descent_witnessed);
             span.attr_u64("pairs_sat_resolved", s.pairs_sat_resolved);
+            span.attr_u64("tier3_blocks", s.tier3_blocks);
             span.vary_u64("implication_ns", s.implication_nanos);
             span.vary_u64("descent_ns", s.descent_nanos);
+            span.vary_u64("tier3_block_max_ns", s.tier3_block_max_nanos);
             span.vary_u64("sat_decisions", s.solver.decisions);
             span.vary_u64("sat_conflicts", s.solver.conflicts);
             span.vary_u64("sat_propagations", s.solver.propagations);

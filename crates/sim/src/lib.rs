@@ -6,6 +6,8 @@
 //! * [`TestPattern`] — an assignment to the scan inputs of a netlist.
 //! * [`simulate`] / [`Simulator`] — a 64-way bit-parallel gate-level
 //!   simulator under the full-scan assumption.
+//! * [`ConeWords`] — multi-word packed simulation restricted to the fanin
+//!   cones of a fixed root set.
 //! * [`SignalProbabilities`] — Monte-Carlo signal-probability estimation from
 //!   random patterns.
 //! * [`rare`] — extraction of *rare nets*: nets whose probability of taking
@@ -36,6 +38,7 @@
 
 pub mod compact;
 pub mod cone_sim;
+mod cone_words;
 mod pattern;
 pub mod probability;
 pub mod rare;
@@ -44,6 +47,7 @@ pub mod witness;
 
 pub use compact::CompactTrace;
 pub use cone_sim::ConeSimulator;
+pub use cone_words::ConeWords;
 pub use pattern::TestPattern;
 pub use probability::{SignalProbabilities, SimTrace};
 pub use rare::RareNetEstimate;

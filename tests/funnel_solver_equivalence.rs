@@ -13,7 +13,8 @@
 //!   across every solver × thread combination;
 //! - identical tier verdict counts (sim-witnessed / structurally pruned /
 //!   cone-enumerated / implication-refuted / descent-witnessed /
-//!   SAT-resolved pair totals and the singleton split) —
+//!   SAT-resolved pair totals, the tier-3 block count and the singleton
+//!   split) —
 //!   the funnel's routing is solver-independent; only timings and raw CDCL
 //!   work counters may differ between configurations.
 
@@ -47,7 +48,7 @@ fn build(
 
 /// The solver-independent slice of [`deterrent_repro::deterrent_core::CompatStats`]:
 /// everything except timings and CDCL work counters.
-fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 10] {
+fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 11] {
     let s = g.stats();
     [
         s.candidate_rare_nets as u64,
@@ -60,6 +61,7 @@ fn tier_verdicts(g: &CompatibilityGraph) -> [u64; 10] {
         s.pairs_implication_refuted,
         s.pairs_descent_witnessed,
         s.pairs_sat_resolved,
+        s.tier3_blocks,
     ]
 }
 
