@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | `--netlists A,B` | benchmark names (see `campaign::profile_by_name`) | `c2670,c5315` |
 //! | `--scale N` | divisor applied to the paper-sized profiles | `20` |
-//! | `--thetas A,B` | rareness thresholds θ | `0.15,0.2` |
+//! | `--thetas A,B` | rareness thresholds θ, each in (0, 0.5] | `0.15,0.2` |
 //! | `--seeds A,B` | master pipeline seeds | `1,2` |
 //! | `--episodes N` | PPO episodes per cell | `40` |
 //! | `--threads N` | campaign workers (0 = `DETERRENT_THREADS` / cores) | `0` |
@@ -132,8 +132,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--scale" => args.scale = value(&mut i)?.parse().map_err(|_| "bad --scale")?,
             "--thetas" => {
-                args.thetas = parse_list(&value(&mut i)?, |s| s.parse().ok())
-                    .ok_or("bad --thetas (comma-separated floats)")?;
+                args.thetas = parse_list(&value(&mut i)?, |s| {
+                    s.parse().ok().filter(|t| *t > 0.0 && *t <= 0.5)
+                })
+                .ok_or("bad --thetas (comma-separated floats in (0, 0.5])")?;
             }
             "--seeds" => {
                 args.seeds = parse_list(&value(&mut i)?, |s| s.parse().ok())
@@ -284,7 +286,6 @@ fn main() -> ExitCode {
         faults: args.fault_plan.clone(),
         checkpoint: args.checkpoint.clone(),
         telemetry: tele.clone(),
-        span_parent: None,
     };
     let mut exec = Exec::new(args.threads);
     exec.set_telemetry(tele.clone(), None);

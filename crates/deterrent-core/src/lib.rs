@@ -22,9 +22,10 @@
 //! 3. [`DeterrentSession::build_graph`] → [`GraphArtifact`] — offline
 //!    pairwise compatibility ([`CompatibilityGraph`]). The paper answers
 //!    every pair with SAT across 64 processes; this implementation runs a
-//!    three-tier simulation-first funnel (retained Monte-Carlo witnesses →
-//!    cone-support pruning and cost-model-driven exhaustive cone enumeration
-//!    → cone-restricted incremental SAT) that reaches the bit-identical
+//!    three-tier simulation-first funnel (tier 1: retained Monte-Carlo
+//!    witnesses → tier 2: cone-support pruning → tier 3 on per-block cone
+//!    oracles: 3a implication sweep, 3b descents with simulated variants,
+//!    3c one CDCL query per leftover pair) that reaches the bit-identical
 //!    graph with a fraction of the SAT queries.
 //! 4. [`DeterrentSession::train`] → [`PolicyArtifact`] — PPO over the
 //!    compatible-set MDP ([`CompatSetEnv`]) with action masking,
@@ -62,9 +63,6 @@
 //! let result = session.generate(&graph, &policy, &sets);
 //! assert!(!result.patterns.is_empty());
 //! ```
-//!
-//! The monolithic [`Deterrent::run`] wrapper remains for one-shot callers
-//! and produces bit-identical output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,7 +75,6 @@ mod config;
 mod env;
 mod fault;
 mod observer;
-mod pipeline;
 mod selection;
 mod session;
 
@@ -101,8 +98,7 @@ pub use config::{
 pub use env::CompatSetEnv;
 pub use fault::{FaultCounts, FaultKind, FaultPlan, FAULT_PLAN_ENV_VAR};
 pub use observer::{RecordingObserver, RoundProgress, RunObserver, Stage, StageMetrics};
-pub use pipeline::{Deterrent, DeterrentResult, TrainingMetrics};
 pub use selection::{
     generate_patterns, generate_patterns_with, select_k_largest, PatternGenStats, RareNetSet,
 };
-pub use session::DeterrentSession;
+pub use session::{DeterrentResult, DeterrentSession, TrainingMetrics};

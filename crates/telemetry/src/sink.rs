@@ -59,7 +59,7 @@ impl JsonlSink {
         Ok(Self::to_writer(Box::new(file)))
     }
 
-    /// Wraps an arbitrary writer (tests, future daemon streams).
+    /// Wraps an arbitrary writer (tests, in-memory buffers).
     #[must_use]
     pub fn to_writer(writer: Box<dyn Write + Send>) -> Self {
         Self::with_flush_interval(writer, FLUSH_INTERVAL)

@@ -2,7 +2,7 @@
 //!
 //! Re-exports every workspace crate under one roof so the root-level examples
 //! and integration tests (and downstream users who prefer a single
-//! dependency) can write `use deterrent_repro::deterrent_core::Deterrent;`.
+//! dependency) can write `use deterrent_repro::deterrent_core::DeterrentSession;`.
 //!
 //! The individual crates are:
 //!
@@ -18,9 +18,6 @@
 //! * [`baselines`] — Random, MERO, TARMAC, TGRL-like, and ATPG baselines.
 //! * [`campaign`] — netlists × θ × seeds sweep driver over one bounded
 //!   artifact cache, plus the `deterrent-campaign`/`deterrent-cache` CLIs.
-//! * [`serve`] — resident campaign daemon over a Unix-domain socket
-//!   (persistent worker pool, streamed progress), plus the
-//!   `deterrent-serve`/`deterrent-submit` CLIs.
 //!
 //! # Quick start
 //!
@@ -48,7 +45,6 @@ pub use exec;
 pub use netlist;
 pub use rl;
 pub use sat;
-pub use serve;
 pub use sim;
 pub use trojan;
 

@@ -7,7 +7,7 @@
 //! collection).
 
 use deterrent_repro::deterrent_core::{
-    CompatBuildOptions, CompatStrategy, CompatibilityGraph, Deterrent, DeterrentConfig,
+    CompatBuildOptions, CompatStrategy, CompatibilityGraph, DeterrentConfig, DeterrentSession,
 };
 use deterrent_repro::exec::Exec;
 use deterrent_repro::netlist::synth::BenchmarkProfile;
@@ -70,7 +70,7 @@ fn pipeline_patterns_and_sets_are_bit_identical_across_thread_counts() {
             .with_episodes(30)
             .with_eval_rollouts(8)
             .with_threads(threads);
-        Deterrent::new(&nl, config).run()
+        DeterrentSession::new(&nl, config).run()
     };
     let reference = run(1);
     assert!(

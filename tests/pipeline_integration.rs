@@ -2,7 +2,9 @@
 //! Trojan evaluation working together on the same designs.
 
 use deterrent_repro::baselines::{RandomPatterns, TestGenerator};
-use deterrent_repro::deterrent_core::{CompatibilityGraph, Deterrent, DeterrentConfig, RewardMode};
+use deterrent_repro::deterrent_core::{
+    CompatibilityGraph, DeterrentConfig, DeterrentResult, DeterrentSession, RewardMode,
+};
 use deterrent_repro::netlist::synth::BenchmarkProfile;
 use deterrent_repro::netlist::{bench, samples};
 use deterrent_repro::sat::CircuitOracle;
@@ -14,13 +16,24 @@ fn test_netlist(seed: u64) -> deterrent_repro::netlist::Netlist {
     BenchmarkProfile::c2670().scaled(20).generate(seed)
 }
 
+/// Runs DETERRENT over a precomputed rare-net analysis.
+fn run_from_analysis(
+    netlist: &deterrent_repro::netlist::Netlist,
+    config: DeterrentConfig,
+    analysis: &RareNetAnalysis,
+) -> DeterrentResult {
+    let mut session = DeterrentSession::new(netlist, config);
+    let rare = session.import_analysis(analysis.clone());
+    session.run_from(&rare)
+}
+
 #[test]
 fn deterrent_patterns_verified_end_to_end() {
     let netlist = test_netlist(100);
     let config = DeterrentConfig::fast_preset()
         .with_threshold(0.2)
         .with_seed(17);
-    let result = Deterrent::new(&netlist, config).run();
+    let result = DeterrentSession::new(&netlist, config).run();
     assert!(!result.patterns.is_empty());
 
     // Every selected set must be jointly justifiable and every generated
@@ -55,7 +68,7 @@ fn deterrent_beats_random_at_equal_budget() {
     let config = DeterrentConfig::fast_preset()
         .with_threshold(0.2)
         .with_seed(3);
-    let deterrent = Deterrent::new(&netlist, config).run_with_analysis(&analysis);
+    let deterrent = run_from_analysis(&netlist, config, &analysis);
     let deterrent_cov = evaluator.evaluate(&deterrent.patterns).coverage_percent();
 
     let random =
@@ -83,8 +96,8 @@ fn masking_does_not_reduce_best_set_quality() {
         .clone()
         .with_ablation(RewardMode::AllSteps, false);
 
-    let masked = Deterrent::new(&netlist, masked_cfg).run_with_analysis(&analysis);
-    let unmasked = Deterrent::new(&netlist, unmasked_cfg).run_with_analysis(&analysis);
+    let masked = run_from_analysis(&netlist, masked_cfg, &analysis);
+    let unmasked = run_from_analysis(&netlist, unmasked_cfg, &analysis);
     assert!(
         masked.metrics.max_compatible_set >= unmasked.metrics.max_compatible_set,
         "masked {} vs unmasked {}",
